@@ -223,7 +223,7 @@ fn observed_session(
 /// cannot be observed independently.
 pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
     fn single(id: &'static str, label: &str) -> Vec<SessionSpec> {
-        vec![SessionSpec::new_profiled(
+        vec![SessionSpec::new(
             format!("{id}/{label}"),
             SEED,
             0,
@@ -244,7 +244,7 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
             .iter()
             .enumerate()
             .map(|(arm, name)| {
-                SessionSpec::new_profiled(
+                SessionSpec::new(
                     format!("f3fix/{name}"),
                     SEED,
                     arm as u64,
@@ -256,7 +256,7 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
             .into_iter()
             .enumerate()
             .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new_profiled(
+                SessionSpec::new(
                     format!("bp1/{tname}/{kind:?}"),
                     SEED,
                     arm as u64,
@@ -268,7 +268,7 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
             .into_iter()
             .enumerate()
             .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new_profiled(
+                SessionSpec::new(
                     format!("bp5/{tname}/{kind:?}"),
                     SEED,
                     arm as u64,
@@ -285,7 +285,9 @@ pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
 /// emitted per-session artifacts are identical at every `jobs` value.
 pub fn traced_sessions(id: &str, jobs: usize) -> Option<Vec<SessionOutcome>> {
     let specs = session_specs(id)?;
-    Some(runner::run_specs(&specs, jobs))
+    Some(runner::run_indexed(specs.len(), jobs, |i| {
+        specs[i].run(None)
+    }))
 }
 
 /// [`traced_sessions`] with span profiling (`exp --id <id> --profile`):
@@ -299,7 +301,13 @@ pub fn profiled_sessions(
     let setup = abr_obs::HostStopwatch::start();
     let specs = session_specs(id)?;
     let setup_ns = setup.elapsed_ns();
-    let (outcomes, pool) = runner::run_specs_profiled(&specs, jobs);
+    // Profilers are `Rc`-shared and never cross threads: each session
+    // builds its own, and only the owned report goes back to the pool.
+    let (outcomes, pool) = runner::run_indexed_profiled(specs.len(), jobs, None, |i| {
+        let profiler = std::rc::Rc::new(abr_obs::Profiler::new());
+        let outcome = specs[i].run(Some(&profiler));
+        (outcome, profiler.report())
+    });
     Some((
         outcomes,
         crate::profiling::WorkloadProfile::from_pool(id, setup_ns, pool),
@@ -321,7 +329,7 @@ pub fn traced_session(
     if specs.len() != 1 {
         return None;
     }
-    let outcome = specs[0].run();
+    let outcome = specs[0].run(None);
     Some((outcome.log, outcome.events, outcome.metrics))
 }
 

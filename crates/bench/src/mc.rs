@@ -262,18 +262,12 @@ pub fn run_mc_profiled(seeds: u64, jobs: usize) -> (McResult, WorkloadProfile) {
     let (corpus, policies, grid) = mc_grid(seeds);
     let order = lpt_order(&policies, &grid);
     let setup_ns = setup.elapsed_ns();
-    let (summaries, pool) = runner::run_profiled_sched(
-        grid.len(),
-        jobs,
-        runner::adaptive_chunk(grid.len(), jobs),
-        Some(&order),
-        |i| {
-            let profiler = Rc::new(Profiler::new());
-            let mut scratch = SessionScratch::new();
-            let q = run_cell(&policies, &corpus, grid[i], Some(&profiler), &mut scratch);
-            (q, profiler.report())
-        },
-    );
+    let (summaries, pool) = runner::run_indexed_profiled(grid.len(), jobs, Some(&order), |i| {
+        let profiler = Rc::new(Profiler::new());
+        let mut scratch = SessionScratch::new();
+        let q = run_cell(&policies, &corpus, grid[i], Some(&profiler), &mut scratch);
+        (q, profiler.report())
+    });
     let result = aggregate(seeds, &corpus.trace_names(), &policies, &grid, &summaries);
     let profile = WorkloadProfile::from_pool("mc", setup_ns, pool);
     (result, profile)

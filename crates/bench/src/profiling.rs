@@ -213,7 +213,7 @@ mod tests {
     use std::rc::Rc;
 
     fn sample() -> WorkloadProfile {
-        let (_, pool) = run_indexed_profiled(4, 2, |i| {
+        let (_, pool) = run_indexed_profiled(4, 2, None, |i| {
             let prof = Rc::new(Profiler::new());
             {
                 let _s = prof.span("session.run");

@@ -1,9 +1,9 @@
 //! Deterministic parallel sweep engine.
 //!
 //! Every multi-session artifact in this repo (the `exp --all` set, the
-//! BP sweeps, the scan binaries, the Criterion groups) is a pure function
-//! of its session specs: content synthesis, traces and policies all seed
-//! their own RNG streams, and the simulated clock never observes the host.
+//! BP sweeps, `exp mc`, the Criterion groups) is a pure function of its
+//! session specs: content synthesis, traces and policies all seed their
+//! own RNG streams, and the simulated clock never observes the host.
 //! That makes wall-clock parallelism safe *if and only if* two rules hold,
 //! and this module is the one place they are enforced (DESIGN.md §10):
 //!
@@ -16,16 +16,21 @@
 //!    so downstream tables, JSON artifacts and merged metrics are
 //!    byte-identical at any `--jobs` value.
 //!
-//! The pool is `std::thread::scope` over `min(jobs, n)` workers claiming
-//! *chunks* of indices from an atomic counter — no dependencies, no work
-//! stealing, no ordering hazards. Chunk size and claim order are
-//! scheduling knobs **outside** the artifact contract (DESIGN.md §16):
-//! callers may pass an LPT-style longest-first hint
-//! ([`run_indexed_sched`]) and the pool may batch claims however it
-//! likes, because results are always re-assembled in index order. The
-//! merge itself is streamed: the main thread places batches into a
-//! pre-sized slot vector *while workers run*, so merge cost no longer
-//! grows with session count after the pool drains.
+//! One pool core sits behind four entry points: [`run_indexed`] (the
+//! default), [`run_indexed_sched`] (fixed chunk size and optional
+//! claim-order hint), [`run_indexed_with_hinted`] (per-worker scratch
+//! state plus a hint) and [`run_indexed_profiled`] (items also return a
+//! span report, merged in index order). The core is `std::thread::scope`
+//! over `min(jobs, n)` workers claiming *chunks* of indices from an atomic
+//! counter — no dependencies, no work stealing, no ordering hazards.
+//! Chunk size and claim order are scheduling knobs **outside** the
+//! artifact contract (DESIGN.md §16), because results are always handed
+//! on in index order. The merge is streamed: the calling thread places
+//! batches into pre-sized slots *while workers run* and passes each
+//! result on as soon as every lower index has landed. The per-worker
+//! claim/busy/alive ledger and the pool phases are always recorded (a
+//! few clock reads per chunk, none per item); only the profiled entry
+//! point returns them.
 //! `tests/parallel_determinism.rs` holds the contract: representative
 //! experiments run at `--jobs 1/2/8` (and random chunk sizes / claim
 //! orders) must produce identical `SessionLog`s, JSON artifacts and
@@ -83,21 +88,6 @@ pub fn parse_jobs(value: &str) -> Option<usize> {
     value.parse::<usize>().ok().filter(|&n| n > 0)
 }
 
-/// Jobs for the small calibration binaries: a `--jobs N` argument when
-/// present (including `--jobs auto`), else [`jobs_from_env`]. (The `exp`
-/// CLI does its own argument parsing and only uses the env fallback.)
-pub fn jobs_from_args_or_env() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for pair in args.windows(2) {
-        if pair[0] == "--jobs" {
-            if let Some(n) = parse_jobs(&pair[1]) {
-                return n;
-            }
-        }
-    }
-    jobs_from_env()
-}
-
 /// Chunk size used when the caller does not fix one: aim for roughly
 /// eight claim rounds per worker — enough that the shared counter and
 /// channel are off the per-item path, few enough that a heavy tail can't
@@ -124,6 +114,58 @@ fn debug_check_permutation(order: &[usize], n: usize) {
     }
 }
 
+/// Host-time accounting for one pool worker (or the serial pseudo-worker
+/// with `jobs <= 1`): how many items it ran, how long it spent claiming
+/// indices vs. running jobs, and its total lifetime. `busy_ns /
+/// alive_ns` is the worker's utilization — the signal that distinguishes
+/// "the pool starves on work" from "the work itself is slow".
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WorkerStats {
+    /// Worker index within the pool (0-based spawn order).
+    pub worker: usize,
+    /// Items this worker claimed and ran.
+    pub items: u64,
+    /// Host time spent in the claim phase: the per-*chunk* fetch-add
+    /// rounds only. Execution is timed separately per chunk in `busy_ns`,
+    /// so `claim_ns + busy_ns <= alive_ns` holds per worker (asserted in
+    /// `profile_determinism` and `parallel_determinism`).
+    pub claim_ns: u64,
+    /// Host time spent inside job closures.
+    pub busy_ns: u64,
+    /// Worker lifetime from spawn-side entry to loop exit.
+    pub alive_ns: u64,
+}
+
+/// Where a sweep's host time went: pool phases (spawn / run / merge),
+/// per-worker utilization, and — for [`run_indexed_profiled`] — the
+/// per-item wall-time distribution and the merged span tree from the
+/// items themselves (in spec order, per the determinism contract).
+#[derive(Debug, Clone, Default)]
+pub struct RunnerProfile {
+    /// Workers the pool actually used (1 = serial path).
+    pub jobs: usize,
+    /// Items dispatched.
+    pub items: u64,
+    /// End-to-end host time of the pool call.
+    pub wall_ns: u64,
+    /// Time to set up the pool and spawn workers.
+    pub spawn_ns: u64,
+    /// Time until the last worker joined (claim + run + the streamed
+    /// hand-off of results to the sink, bounded by the slowest worker).
+    pub run_ns: u64,
+    /// Post-run merge remainder. The pool streams results to the sink
+    /// while workers run, so this is near zero and does not grow with
+    /// item count; in the serial fallback it is the sink walk over the
+    /// loop's results.
+    pub merge_ns: u64,
+    /// Per-worker accounting, in worker order.
+    pub workers: Vec<WorkerStats>,
+    /// Per-item host wall time (ns, [`SPAN_BOUNDS_NS`] buckets).
+    pub item_wall: HistogramSnapshot,
+    /// Per-item span trees merged in index (= spec) order.
+    pub spans: ProfileReport,
+}
+
 /// Runs `f(0..n)` across `min(jobs, n)` scoped workers and returns the
 /// results **in index order**, regardless of completion order. With
 /// `jobs <= 1` (or a single item) it degenerates to the serial loop, so
@@ -132,14 +174,14 @@ fn debug_check_permutation(order: &[usize], n: usize) {
 ///
 /// `f` must be a pure function of its index (plus captured immutable
 /// state); the differential suite exists to catch violations. A panic in
-/// any worker propagates out of the scope — a sweep never silently drops
+/// any worker propagates out of the pool — a sweep never silently drops
 /// a session.
 pub fn run_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_chunked(n, jobs, adaptive_chunk(n, jobs), None, || (), |(), i| f(i))
+    run_collected(n, jobs, adaptive_chunk(n, jobs), None, || (), |(), i| f(i))
 }
 
 /// [`run_indexed`] with every scheduling knob exposed: a fixed claim
@@ -159,28 +201,17 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_chunked(n, jobs, chunk, order, || (), |(), i| f(i))
+    run_collected(n, jobs, chunk, order, || (), |(), i| f(i))
 }
 
-/// [`run_indexed`] with per-worker scratch state: each worker (or the
-/// serial loop) builds one `S` via `init` and threads it mutably through
-/// every item it claims. The state is *scratch only* — reusable
-/// allocations like [`abr_player::SessionScratch`] — and must never
-/// influence an item's result: outputs remain a pure function of the
-/// index, which the determinism suite checks by comparing jobs values.
-pub fn run_indexed_with<S, T, I, F>(n: usize, jobs: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_chunked(n, jobs, adaptive_chunk(n, jobs), None, init, f)
-}
-
-/// [`run_indexed_with`] plus a claim-order hint (see
-/// [`run_indexed_sched`]). This is the entry point for heavy-tailed
-/// sweeps with per-worker scratch — `exp mc` passes its MPC-first order
-/// here.
+/// [`run_indexed`] with per-worker scratch state and a claim-order hint
+/// (see [`run_indexed_sched`]). Each worker (or the serial loop) builds
+/// one `S` via `init` and threads it mutably through every item it
+/// claims. The state is *scratch only* — reusable allocations like
+/// [`abr_player::SessionScratch`] — and must never influence an item's
+/// result: outputs remain a pure function of the index, which the
+/// determinism suite checks by comparing jobs values. `exp mc` passes its
+/// MPC-first order here.
 pub fn run_indexed_with_hinted<S, T, I, F>(
     n: usize,
     jobs: usize,
@@ -193,20 +224,52 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    run_chunked(n, jobs, adaptive_chunk(n, jobs), Some(order), init, f)
+    run_collected(n, jobs, adaptive_chunk(n, jobs), Some(order), init, f)
 }
 
-/// The shared pool core: `min(jobs, n)` scoped workers claim chunks of
-/// claim *positions* from an atomic counter, map each position through
-/// the optional claim-order hint, and send completed batches back over a
-/// channel. The main thread streams batches into a pre-sized slot vector
-/// while workers are still running (the "streamed merge"), so the only
-/// post-scope work is the index-ordered unwrap walk.
-///
-/// With `jobs <= 1` (or a single item) this degenerates to the serial
-/// loop in natural index order — the hint is a scheduling concern and
-/// scheduling is the identity when there is one lane.
-fn run_chunked<S, T, I, F>(
+/// [`run_indexed`] with the pool's host-time ledger kept: `f`
+/// additionally returns the item's [`ProfileReport`], and the sink
+/// merges each report into one span tree as the merge frontier advances,
+/// in index order. Scheduling is that of [`run_indexed_sched`] with
+/// [`adaptive_chunk`] claims, so results — and the artifacts built from
+/// them — are byte-identical to the unprofiled run at any `jobs` value;
+/// only the [`RunnerProfile`] varies run to run. `exp mc --profile`
+/// passes the same claim-order hint as `exp mc`.
+pub fn run_indexed_profiled<T, F>(
+    n: usize,
+    jobs: usize,
+    order: Option<&[usize]>,
+    f: F,
+) -> (Vec<T>, RunnerProfile)
+where
+    T: Send,
+    F: Fn(usize) -> (T, ProfileReport) + Sync,
+{
+    let mut out = Vec::with_capacity(n);
+    let mut item_wall = Histogram::with_bounds(SPAN_BOUNDS_NS);
+    let mut spans = ProfileReport::default();
+    let chunk = adaptive_chunk(n, jobs);
+    let mut profile = run_pool(
+        n,
+        jobs,
+        chunk,
+        order,
+        || (),
+        |(), i| f(i),
+        |(value, report)| {
+            item_wall.observe(report.wall_ns as f64);
+            spans.merge(&report);
+            out.push(value);
+        },
+    );
+    profile.item_wall = item_wall.snapshot();
+    profile.spans = spans;
+    (out, profile)
+}
+
+/// The unprofiled entry points' body: run the pool, keep the results in
+/// index order, drop the ledger.
+fn run_collected<S, T, I, F>(
     n: usize,
     jobs: usize,
     chunk: usize,
@@ -219,300 +282,170 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    if let Some(order) = order {
-        debug_check_permutation(order, n);
-    }
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let chunk = chunk.max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Vec<(usize, T)>>();
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    // Dynamic half of the model checker's partition invariant: record
-    // every claimed range and assert they tile `0..n` exactly once.
-    #[cfg(feature = "debug-invariants")]
-    let claim_ledger = std::sync::Mutex::new(Vec::<(usize, usize)>::new());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let next = &next;
-            let init = &init;
-            let f = &f;
-            #[cfg(feature = "debug-invariants")]
-            let claim_ledger = &claim_ledger;
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    // `Relaxed` claim: RMWs on one location have a total
-                    // modification order even at `Relaxed`, so every
-                    // counter value — hence every `claim_range` — is
-                    // handed out exactly once; results synchronize via
-                    // the mpsc channel. Model-checked as
-                    // `sync_model::ClaimModel` (see `lint.toml`).
-                    let claimed = claim_range(next.fetch_add(chunk, Ordering::Relaxed), chunk, n);
-                    let Some((p0, p1)) = claimed else {
-                        break;
-                    };
-                    #[cfg(feature = "debug-invariants")]
-                    claim_ledger.lock().expect("claim ledger").push((p0, p1));
-                    let batch: Vec<(usize, T)> = (p0..p1)
-                        .map(|p| {
-                            let i = order.map_or(p, |o| o[p]);
-                            (i, f(&mut state, i))
-                        })
-                        .collect();
-                    if tx.send(batch).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Streamed merge: place batches while workers run. The loop ends
-        // when every worker has dropped its sender; a worker panic also
-        // drops its sender, and the scope re-raises the panic before the
-        // unwrap walk below can observe the hole.
-        for batch in rx {
-            for (i, value) in batch {
-                debug_assert!(slots[i].is_none(), "index {i} produced twice");
-                slots[i] = Some(value);
-            }
-        }
-    });
-    #[cfg(feature = "debug-invariants")]
-    {
-        let mut ranges = claim_ledger.into_inner().expect("claim ledger");
-        debug_assert!(
-            abr_event::sync_model::ranges_partition(&mut ranges, n),
-            "claimed ranges must partition 0..{n}"
-        );
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| v.unwrap_or_else(|| panic!("worker dropped index {i}")))
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    run_pool(n, jobs, chunk, order, init, f, |value| out.push(value));
+    out
 }
 
-/// Host-time accounting for one pool worker (or the serial pseudo-worker
-/// with `jobs <= 1`): how many items it ran, how long it spent claiming
-/// indices vs. running jobs, and its total lifetime. `busy_ns /
-/// alive_ns` is the worker's utilization — the signal that distinguishes
-/// "the pool starves on work" from "the work itself is slow".
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerStats {
-    /// Worker index within the pool (0-based spawn order).
-    pub worker: usize,
-    /// Items this worker claimed and ran.
-    pub items: u64,
-    /// Host time spent in the claim phase. Under chunked claiming this is
-    /// the per-*chunk* fetch-add rounds only — item execution is timed
-    /// separately in `busy_ns`, so `claim_ns + busy_ns <= alive_ns` holds
-    /// per worker (asserted in `profile_determinism`).
-    pub claim_ns: u64,
-    /// Host time spent inside job closures.
-    pub busy_ns: u64,
-    /// Worker lifetime from spawn-side entry to loop exit.
-    pub alive_ns: u64,
-}
-
-/// Where a profiled sweep's host time went: pool phases (spawn / run /
-/// merge), per-worker utilization, per-item wall-time distribution, and
-/// the merged span tree from the items themselves (in spec order, per the
-/// determinism contract).
-#[derive(Debug, Clone, Default)]
-pub struct RunnerProfile {
-    /// Workers the pool actually used (1 = serial path).
-    pub jobs: usize,
-    /// Items dispatched.
-    pub items: u64,
-    /// End-to-end host time of the profiled call.
-    pub wall_ns: u64,
-    /// Time to set up the pool and spawn workers.
-    pub spawn_ns: u64,
-    /// Time inside the worker scope (claim + run + the streamed placement
-    /// of result batches, bounded by the slowest worker).
-    pub run_ns: u64,
-    /// Post-scope merge remainder. Placement and the index-ordered span
-    /// merge are streamed while workers run, so this is only the final
-    /// unwrap walk plus whatever span merging the stream had not yet
-    /// caught up on — it no longer grows with session count.
-    pub merge_ns: u64,
-    /// Per-worker accounting, in worker order.
-    pub workers: Vec<WorkerStats>,
-    /// Per-item host wall time (ns, [`SPAN_BOUNDS_NS`] buckets).
-    pub item_wall: HistogramSnapshot,
-    /// Per-item span trees merged in index (= spec) order.
-    pub spans: ProfileReport,
-}
-
-/// [`run_indexed`] with host-time accounting: `f` additionally returns
-/// the item's [`ProfileReport`], and the pool reports where its own time
-/// went. Ordering semantics are identical to [`run_indexed`] — results
-/// and span merges happen in index order, so profiled artifacts stay
-/// byte-identical at any `jobs` value. Only the `RunnerProfile` (which
-/// never feeds artifacts) varies run to run.
-pub fn run_indexed_profiled<T, F>(n: usize, jobs: usize, f: F) -> (Vec<T>, RunnerProfile)
-where
-    T: Send,
-    F: Fn(usize) -> (T, ProfileReport) + Sync,
-{
-    run_profiled_sched(n, jobs, adaptive_chunk(n, jobs), None, f)
-}
-
-/// [`run_indexed_profiled`] with the scheduling knobs exposed (fixed
-/// chunk size, optional claim-order hint) — the profiled twin of
-/// [`run_indexed_sched`]. `exp mc --profile` routes here with its
-/// MPC-first hint so profiled and unprofiled runs schedule identically.
-pub fn run_profiled_sched<T, F>(
+/// The one pool core behind every entry point: `min(jobs, n)` scoped
+/// workers claim chunks of claim *positions* from an atomic counter, map
+/// each position through the optional claim-order hint, and send
+/// completed batches back over a channel. The calling thread places
+/// batches into pre-sized slots while workers are still running and
+/// hands results to `sink` in index order as the merge frontier advances
+/// (the "streamed merge").
+///
+/// The per-worker [`WorkerStats`] ledger and the phase times are always
+/// recorded, timed per chunk: a few clock reads per chunk, none per item.
+/// With `jobs <= 1` (or a single item) the core degenerates to the serial
+/// loop in natural index order with one pseudo-worker ledger — the hint
+/// is a scheduling concern and scheduling is the identity when there is
+/// one lane.
+fn run_pool<S, T, I, F, K>(
     n: usize,
     jobs: usize,
     chunk: usize,
     order: Option<&[usize]>,
+    init: I,
     f: F,
-) -> (Vec<T>, RunnerProfile)
+    mut sink: K,
+) -> RunnerProfile
 where
     T: Send,
-    F: Fn(usize) -> (T, ProfileReport) + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+    K: FnMut(T),
 {
     if let Some(order) = order {
         debug_check_permutation(order, n);
     }
     let wall = HostStopwatch::start();
     let jobs = jobs.max(1).min(n.max(1));
-    let mut profile = RunnerProfile {
+    let mut ledger = RunnerProfile {
         jobs,
         items: n as u64,
         ..RunnerProfile::default()
     };
-    let mut item_wall = Histogram::with_bounds(SPAN_BOUNDS_NS);
-    if jobs <= 1 {
-        let mut out = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(n);
-        let mut stats = WorkerStats::default();
-        let run = HostStopwatch::start();
-        for i in 0..n {
-            let item = HostStopwatch::start();
-            let (value, report) = f(i);
-            stats.items += 1;
-            stats.busy_ns += item.elapsed_ns();
-            out.push(value);
-            reports.push(report);
-        }
-        profile.run_ns = run.elapsed_ns();
-        stats.alive_ns = profile.run_ns;
-        profile.workers.push(stats);
-        let merge = HostStopwatch::start();
-        for report in &reports {
-            item_wall.observe(report.wall_ns as f64);
-            profile.spans.merge(report);
-        }
-        profile.merge_ns = merge.elapsed_ns();
-        profile.item_wall = item_wall.snapshot();
-        profile.wall_ns = wall.elapsed_ns();
-        return (out, profile);
-    }
-    let chunk = chunk.max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Vec<(usize, T, ProfileReport)>>();
-    let (stx, srx) = mpsc::channel::<WorkerStats>();
-    // Dynamic half of the model checker's partition invariant, as in
-    // `run_chunked`.
-    #[cfg(feature = "debug-invariants")]
-    let claim_ledger = std::sync::Mutex::new(Vec::<(usize, usize)>::new());
-    let spawn = HostStopwatch::start();
     let run = HostStopwatch::start();
-    let mut slots: Vec<Option<(T, ProfileReport)>> = (0..n).map(|_| None).collect();
-    // Index of the first slot whose span report has not been merged yet.
-    // The stream loop advances it in index order while workers run, so
-    // span merging (which must be index-ordered — the merged tree is
-    // reported to the user) overlaps execution instead of trailing it.
-    let mut frontier = 0usize;
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let tx = tx.clone();
-            let stx = stx.clone();
-            let next = &next;
-            let f = &f;
-            #[cfg(feature = "debug-invariants")]
-            let claim_ledger = &claim_ledger;
-            scope.spawn(move || {
-                let alive = HostStopwatch::start();
-                let mut stats = WorkerStats {
-                    worker: w,
-                    ..WorkerStats::default()
-                };
-                loop {
-                    let claim = HostStopwatch::start();
-                    // `Relaxed` claim — same protocol and model evidence
-                    // as `run_chunked` (see `lint.toml`).
-                    let claimed = claim_range(next.fetch_add(chunk, Ordering::Relaxed), chunk, n);
-                    stats.claim_ns += claim.elapsed_ns();
-                    let Some((p0, p1)) = claimed else {
-                        break;
-                    };
+    // Results the sink has not seen when the run phase ends: the whole
+    // serial loop, or nothing for the streamed pool.
+    let remainder: Vec<T> = if jobs <= 1 {
+        let mut state = init();
+        let busy = HostStopwatch::start();
+        let values: Vec<T> = (0..n).map(|i| f(&mut state, i)).collect();
+        let busy_ns = busy.elapsed_ns();
+        ledger.workers.push(WorkerStats {
+            worker: 0,
+            items: n as u64,
+            claim_ns: 0,
+            busy_ns,
+            alive_ns: run.elapsed_ns(),
+        });
+        values
+    } else {
+        let chunk = chunk.max(1);
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<Vec<(usize, T)>>();
+        // Dynamic half of the model checker's partition invariant: record
+        // every claimed range and assert they tile `0..n` exactly once.
+        #[cfg(feature = "debug-invariants")]
+        let claim_ledger = std::sync::Mutex::new(Vec::<(usize, usize)>::new());
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        // The first index the sink has not seen yet.
+        let mut frontier = 0usize;
+        let (spawn_ns, workers) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|w| {
+                    let tx = tx.clone();
+                    let (next, init, f) = (&next, &init, &f);
                     #[cfg(feature = "debug-invariants")]
-                    claim_ledger.lock().expect("claim ledger").push((p0, p1));
-                    let mut batch = Vec::with_capacity(p1 - p0);
-                    for p in p0..p1 {
-                        let i = order.map_or(p, |o| o[p]);
-                        let item = HostStopwatch::start();
-                        let (value, report) = f(i);
-                        stats.items += 1;
-                        stats.busy_ns += item.elapsed_ns();
-                        batch.push((i, value, report));
-                    }
-                    if tx.send(batch).is_err() {
-                        break;
-                    }
+                    let claim_ledger = &claim_ledger;
+                    scope.spawn(move || {
+                        let alive = HostStopwatch::start();
+                        let mut stats = WorkerStats {
+                            worker: w,
+                            ..WorkerStats::default()
+                        };
+                        let mut state = init();
+                        loop {
+                            let claim = HostStopwatch::start();
+                            // `Relaxed` claim: RMWs on one location have a
+                            // total modification order even at `Relaxed`,
+                            // so every counter value — hence every
+                            // `claim_range` — is handed out exactly once;
+                            // results synchronize via the mpsc channel.
+                            // Model-checked as `sync_model::ClaimModel`
+                            // (see `lint.toml`).
+                            let claimed =
+                                claim_range(next.fetch_add(chunk, Ordering::Relaxed), chunk, n);
+                            stats.claim_ns += claim.elapsed_ns();
+                            let Some((p0, p1)) = claimed else {
+                                break;
+                            };
+                            #[cfg(feature = "debug-invariants")]
+                            claim_ledger.lock().expect("claim ledger").push((p0, p1));
+                            let busy = HostStopwatch::start();
+                            let batch: Vec<(usize, T)> = (p0..p1)
+                                .map(|p| {
+                                    let i = order.map_or(p, |o| o[p]);
+                                    (i, f(&mut state, i))
+                                })
+                                .collect();
+                            stats.busy_ns += busy.elapsed_ns();
+                            stats.items += batch.len() as u64;
+                            if tx.send(batch).is_err() {
+                                break;
+                            }
+                        }
+                        stats.alive_ns = alive.elapsed_ns();
+                        stats
+                    })
+                })
+                .collect();
+            let spawn_ns = run.elapsed_ns();
+            drop(tx);
+            // Streamed merge: place batches while workers run. The loop
+            // ends when every worker has dropped its sender; a panicking
+            // worker drops its sender too, and its join below re-raises
+            // the panic.
+            for batch in rx {
+                for (i, value) in batch {
+                    debug_assert!(
+                        i >= frontier && slots[i].is_none(),
+                        "index {i} produced twice"
+                    );
+                    slots[i] = Some(value);
                 }
-                stats.alive_ns = alive.elapsed_ns();
-                let _ = stx.send(stats);
-            });
-        }
-        profile.spawn_ns = spawn.elapsed_ns();
-        drop(tx);
-        for batch in rx {
-            for (i, value, report) in batch {
-                debug_assert!(slots[i].is_none(), "index {i} produced twice");
-                slots[i] = Some((value, report));
+                while let Some(value) = slots.get_mut(frontier).and_then(Option::take) {
+                    sink(value);
+                    frontier += 1;
+                }
             }
-            while let Some(Some((_, report))) = slots.get(frontier) {
-                item_wall.observe(report.wall_ns as f64);
-                profile.spans.merge(report);
-                frontier += 1;
-            }
+            let workers: Vec<WorkerStats> = handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect();
+            (spawn_ns, workers)
+        });
+        assert_eq!(frontier, n, "worker dropped index {frontier}");
+        #[cfg(feature = "debug-invariants")]
+        {
+            let mut ranges = claim_ledger.into_inner().expect("claim ledger");
+            debug_assert!(
+                abr_event::sync_model::ranges_partition(&mut ranges, n),
+                "claimed ranges must partition 0..{n}"
+            );
         }
-    });
-    #[cfg(feature = "debug-invariants")]
-    {
-        let mut ranges = claim_ledger.into_inner().expect("claim ledger");
-        debug_assert!(
-            abr_event::sync_model::ranges_partition(&mut ranges, n),
-            "claimed ranges must partition 0..{n}"
-        );
-    }
-    profile.run_ns = run.elapsed_ns();
-    drop(stx);
+        ledger.spawn_ns = spawn_ns;
+        ledger.workers = workers;
+        Vec::new()
+    };
+    ledger.run_ns = run.elapsed_ns();
     let merge = HostStopwatch::start();
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (value, report) = slot.unwrap_or_else(|| panic!("worker dropped index {i}"));
-        if i >= frontier {
-            item_wall.observe(report.wall_ns as f64);
-            profile.spans.merge(&report);
-        }
-        out.push(value);
-    }
-    profile.workers = srx.iter().collect();
-    profile.workers.sort_by_key(|s| s.worker);
-    profile.merge_ns = merge.elapsed_ns();
-    profile.item_wall = item_wall.snapshot();
-    profile.wall_ns = wall.elapsed_ns();
-    (out, profile)
+    remainder.into_iter().for_each(&mut sink);
+    ledger.merge_ns = merge.elapsed_ns();
+    ledger.wall_ns = wall.elapsed_ns();
+    ledger
 }
 
 /// Everything a session run sends back across the worker boundary. All
@@ -573,23 +506,10 @@ type SessionJob =
 impl SessionSpec {
     /// A new spec. `stream` must be stable across runs (use the spec's
     /// position in the authored sweep, or any other value derived from
-    /// the sweep definition alone).
+    /// the sweep definition alone). Under `--profile` the job receives the
+    /// per-session span profiler to wire into its `ObsHandle`, otherwise
+    /// `None`.
     pub fn new<F>(label: impl Into<String>, seed: u64, stream: u64, job: F) -> SessionSpec
-    where
-        F: Fn(&mut SplitMix64) -> SessionOutcome + Send + Sync + 'static,
-    {
-        SessionSpec {
-            label: label.into(),
-            seed,
-            stream,
-            job: Box::new(move |rng, _prof| job(rng)),
-        }
-    }
-
-    /// A new spec whose job is profiler-aware: under `--profile` it
-    /// receives the per-session span profiler to wire into its
-    /// `ObsHandle`, otherwise `None`.
-    pub fn new_profiled<F>(label: impl Into<String>, seed: u64, stream: u64, job: F) -> SessionSpec
     where
         F: Fn(&mut SplitMix64, Option<&Rc<Profiler>>) -> SessionOutcome + Send + Sync + 'static,
     {
@@ -607,18 +527,11 @@ impl SessionSpec {
         SplitMix64::for_stream(self.seed, self.stream)
     }
 
-    /// Runs the session serially, in the calling thread. The outcome's
-    /// label is stamped from the spec.
-    pub fn run(&self) -> SessionOutcome {
-        let mut outcome = (self.job)(&mut self.rng(), None);
-        outcome.label = self.label.clone();
-        outcome
-    }
-
-    /// Runs the session with a span profiler attached. Must produce the
-    /// exact same outcome as [`SessionSpec::run`].
-    pub fn run_profiled(&self, profiler: &Rc<Profiler>) -> SessionOutcome {
-        let mut outcome = (self.job)(&mut self.rng(), Some(profiler));
+    /// Runs the session serially, in the calling thread, with an optional
+    /// span profiler attached. The outcome is the same with or without
+    /// one; its label is stamped from the spec.
+    pub fn run(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
+        let mut outcome = (self.job)(&mut self.rng(), profiler);
         outcome.label = self.label.clone();
         outcome
     }
@@ -632,27 +545,6 @@ impl std::fmt::Debug for SessionSpec {
             .field("stream", &self.stream)
             .finish_non_exhaustive()
     }
-}
-
-/// Shards `specs` across `min(jobs, cores)` workers and returns outcomes
-/// **in spec order**.
-pub fn run_specs(specs: &[SessionSpec], jobs: usize) -> Vec<SessionOutcome> {
-    run_indexed(specs.len(), jobs, |i| specs[i].run())
-}
-
-/// [`run_specs`] with profiling: each worker builds a session-private
-/// [`Profiler`] (profilers are `Rc`-shared and never cross threads —
-/// only the owned [`ProfileReport`] does), and the pool merges the
-/// per-session span trees in spec order.
-pub fn run_specs_profiled(
-    specs: &[SessionSpec],
-    jobs: usize,
-) -> (Vec<SessionOutcome>, RunnerProfile) {
-    run_indexed_profiled(specs.len(), jobs, |i| {
-        let profiler = Rc::new(Profiler::new());
-        let outcome = specs[i].run_profiled(&profiler);
-        (outcome, profiler.report())
-    })
 }
 
 /// Merges per-session metrics snapshots in spec order (the deterministic
@@ -720,22 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_with_matches_run_indexed() {
-        for jobs in [1, 2, 8] {
-            let out = run_indexed_with(37, jobs, Vec::<usize>::new, |scratch, i| {
-                scratch.push(i); // worker-local scratch, result ignores it
-                i * i
-            });
-            assert_eq!(
-                out,
-                (0..37).map(|i| i * i).collect::<Vec<_>>(),
-                "jobs={jobs}"
-            );
-        }
-        assert!(run_indexed_with(0, 4, || (), |_, i| i).is_empty());
-    }
-
-    #[test]
     fn effective_jobs_clamps() {
         assert_eq!(effective_jobs(0), 1);
         assert!(effective_jobs(usize::MAX) <= available_cores());
@@ -745,7 +621,7 @@ mod tests {
     #[test]
     fn run_indexed_profiled_matches_plain_results() {
         for jobs in [1, 2, 8] {
-            let (out, profile) = run_indexed_profiled(23, jobs, |i| {
+            let (out, profile) = run_indexed_profiled(23, jobs, None, |i| {
                 let prof = Rc::new(Profiler::new());
                 {
                     let _g = prof.span("item");
@@ -770,7 +646,7 @@ mod tests {
             assert_eq!(profile.item_wall.count, 23);
             assert!(profile.wall_ns >= profile.run_ns);
         }
-        let (out, profile) = run_indexed_profiled(0, 4, |_| unreachable!());
+        let (out, profile) = run_indexed_profiled(0, 4, None, |_| unreachable!());
         let _: Vec<usize> = out;
         assert_eq!(profile.items, 0);
     }
@@ -793,7 +669,7 @@ mod tests {
                 num_chunks: 0,
             }
         }
-        let spec = SessionSpec::new_profiled("p/x", 2019, 3, |rng, prof| {
+        let spec = SessionSpec::new("p/x", 2019, 3, |rng, prof| {
             if let Some(p) = prof {
                 let _g = p.span("job");
             }
@@ -803,9 +679,9 @@ mod tests {
                 MetricsSnapshot::default(),
             ))
         });
-        let plain = spec.run();
+        let plain = spec.run(None);
         let profiler = Rc::new(Profiler::new());
-        let profiled = spec.run_profiled(&profiler);
+        let profiled = spec.run(Some(&profiler));
         // Same derived RNG, same outcome, profiler only observed.
         assert_eq!(plain.log.policy, profiled.log.policy);
         assert_eq!(plain.label, profiled.label);
@@ -815,7 +691,12 @@ mod tests {
     #[test]
     fn spec_rng_ignores_execution_order() {
         let mk = |stream: u64| {
-            SessionSpec::new(format!("s{stream}"), 2019, stream, |_rng| unreachable!())
+            SessionSpec::new(
+                format!("s{stream}"),
+                2019,
+                stream,
+                |_rng, _prof| unreachable!(),
+            )
         };
         let forward: Vec<u64> = (0..8).map(|s| mk(s).rng().next_u64()).collect();
         let backward: Vec<u64> = (0..8).rev().map(|s| mk(s).rng().next_u64()).collect();

@@ -16,9 +16,13 @@
 use std::collections::BTreeSet;
 
 use abr_bench::experiments::{run_jobs, traced_sessions};
-use abr_bench::runner::{merged_metrics, run_indexed_sched, SessionOutcome};
+use abr_bench::runner::{
+    merged_metrics, run_indexed_profiled, run_indexed_sched, run_indexed_with_hinted,
+    SessionOutcome,
+};
 use abr_event::rng::SplitMix64;
 use abr_obs::export::to_jsonl;
+use abr_obs::ProfileReport;
 use abr_player::SessionLog;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -203,8 +207,10 @@ proptest! {
 
     /// Chunk size, worker count and claim-order hint are scheduling
     /// knobs, not semantics (DESIGN.md §16): for any `(n, jobs, chunk)`
-    /// and any permutation hint, `run_indexed_sched` returns exactly the
-    /// serial map, in index order.
+    /// and any permutation hint, every pool entry point returns exactly
+    /// the serial map, in index order. The profiled entry point also
+    /// keeps a consistent worker ledger: every item is claimed by exactly
+    /// one worker, and no worker's claim + busy time exceeds its lifetime.
     #[test]
     fn chunked_claiming_is_schedule_blind(
         n in 0usize..97,
@@ -218,5 +224,24 @@ proptest! {
         let order = random_permutation(n, hint_seed);
         let hinted = run_indexed_sched(n, jobs, chunk, Some(&order), item_value);
         prop_assert_eq!(&reference, &hinted);
+        let (profiled, profile) = run_indexed_profiled(n, jobs, Some(&order), |i| {
+            (item_value(i), ProfileReport::default())
+        });
+        prop_assert_eq!(&reference, &profiled);
+        prop_assert_eq!(profile.workers.iter().map(|w| w.items).sum::<u64>(), n as u64);
+        for w in &profile.workers {
+            prop_assert!(w.claim_ns + w.busy_ns <= w.alive_ns, "worker {:?}", w);
+        }
+        // Per-worker scratch never leaks into results, under the identity
+        // and the reversed claim order.
+        let identity: Vec<usize> = (0..n).collect();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for order in [&identity, &reversed] {
+            let scratched = run_indexed_with_hinted(n, jobs, order, Vec::new, |seen, i| {
+                seen.push(i);
+                item_value(i)
+            });
+            prop_assert_eq!(&reference, &scratched);
+        }
     }
 }
