@@ -569,7 +569,7 @@ fn drain_window(
             Slot::Arrival(i) => {
                 let plan = source.plan(i);
                 let scenario = corpus.title(plan.title);
-                let mut stepper =
+                let stepper =
                     build_session(spec, &plan, scenario, Rc::clone(&domain.hub)).into_stepper();
                 match stepper.next_wake() {
                     Some(local) => {

@@ -119,6 +119,24 @@ fn profile_names_hot_spans_and_attributes_wall_time() {
             "span {expected} missing from profile (have: {names:?})"
         );
     }
+    // Which event class wins a tie shows only here: a different tie order
+    // dispatches the same wakes under other class names.
+    let dispatched = |class: &str| -> u64 {
+        flat.iter()
+            .filter(|(_, _, node)| node.name == class)
+            .map(|(_, _, node)| node.count)
+            .sum()
+    };
+    for (class, count) in [
+        ("dispatch.transfer_complete", 14_700),
+        ("dispatch.playback_boundary", 308),
+        ("dispatch.buffer_refill", 4_705),
+        ("dispatch.seek_due", 0),
+        ("dispatch.deadline", 0),
+        ("dispatch.playlist_refresh", 0),
+    ] {
+        assert_eq!(dispatched(class), count, "{class} dispatch count");
+    }
     assert!(
         profile.attributed() >= 0.95,
         "named spans attribute only {:.1}% of measured wall time",

@@ -13,21 +13,18 @@
 //! 1. **Earlier timestamps pop first.** Time never runs backwards: popping
 //!    advances [`EventQueue::now`], and scheduling before `now` panics.
 //! 2. **Within one timestamp, insertion order wins (FIFO).** The `seq`
-//!    counter is assigned at [`EventQueue::schedule`] time and never reused,
-//!    including across cancellations — cancelling an entry does not renumber
-//!    or reorder anything else.
-//! 3. **Cancellation is exact.** [`EventQueue::cancel`] removes exactly the
-//!    entry whose [`EventKey`] it is handed; a key is invalidated once its
-//!    entry pops or is cancelled, and cancelling it again is a no-op that
-//!    returns `false`.
+//!    counter is assigned at [`EventQueue::schedule`] time and never reused.
+//! 3. **Every scheduled entry pops exactly once.** There is no
+//!    cancellation, so the pop sequence is exactly the scheduled set in
+//!    `(at, seq)` order.
 //!
 //! These three rules make a simulation's event order a pure function of the
-//! schedule/cancel call sequence — the foundation of the workspace's
+//! schedule call sequence — the foundation of the workspace's
 //! bit-reproducibility contract (DESIGN.md §10).
 
 use crate::time::Instant;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One scheduled entry: reversed ordering so the `BinaryHeap` max-heap pops
 /// the *earliest* event first.
@@ -55,23 +52,10 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Handle to one scheduled entry, returned by [`EventQueue::schedule`] and
-/// consumed by [`EventQueue::cancel`]. Keys are unique for the lifetime of
-/// the queue (never reused).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventKey(u64);
-
 /// A priority queue of timestamped events with deterministic tie-breaking
 /// (see the module docs for the exact semantics).
-///
-/// Cancellation is lazy: cancelled entries stay in the heap as tombstones
-/// and are skipped on pop, so both `schedule` and `cancel` stay `O(log n)`.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Seqs of live (scheduled, not popped, not cancelled) entries.
-    live: BTreeSet<u64>,
-    /// Seqs of cancelled-but-not-yet-popped entries (tombstones).
-    cancelled: BTreeSet<u64>,
     next_seq: u64,
     now: Instant,
     /// `(at, seq)` of the most recent pop — the FIFO tie-break witness
@@ -91,37 +75,10 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: BTreeSet::new(),
-            cancelled: BTreeSet::new(),
             next_seq: 0,
             now: Instant::ZERO,
             #[cfg(feature = "debug-invariants")]
             last_popped: None,
-        }
-    }
-
-    /// Structural invariants, checked after every mutation when built with
-    /// `debug-invariants`: the live and tombstone sets partition the heap,
-    /// and every tracked seq was actually handed out.
-    fn debug_check(&self) {
-        #[cfg(feature = "debug-invariants")]
-        {
-            debug_assert_eq!(
-                self.live.len() + self.cancelled.len(),
-                self.heap.len(),
-                "live + tombstones must partition the heap"
-            );
-            debug_assert!(
-                self.live.intersection(&self.cancelled).next().is_none(),
-                "an entry cannot be both live and cancelled"
-            );
-            debug_assert!(
-                self.live
-                    .iter()
-                    .chain(self.cancelled.iter())
-                    .all(|&s| s < self.next_seq),
-                "tracked seq beyond the allocation counter"
-            );
         }
     }
 
@@ -131,10 +88,9 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `event` to fire at `at` and returns a key that can later
-    /// [`cancel`](EventQueue::cancel) it. Panics if `at` is in the past —
+    /// Schedules `event` to fire at `at`. Panics if `at` is in the past —
     /// scheduling backwards in time is always a logic error.
-    pub fn schedule(&mut self, at: Instant, event: E) -> EventKey {
+    pub fn schedule(&mut self, at: Instant, event: E) {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
@@ -143,60 +99,34 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
-        self.live.insert(seq);
-        self.debug_check();
-        EventKey(seq)
     }
 
-    /// Cancels the entry behind `key`. Returns `true` if the entry was
-    /// still pending; `false` if it already popped or was already
-    /// cancelled. Cancellation never disturbs the ordering of other
-    /// entries.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        if self.live.remove(&key.0) {
-            self.cancelled.insert(key.0);
-            self.debug_check();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes and returns the earliest live event, advancing the clock to
-    /// its timestamp. Cancelled entries are skipped (and dropped). Returns
-    /// `None` when no live events remain.
+    /// Removes and returns the earliest event, advancing the clock to its
+    /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue; // tombstone: discard and keep looking
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now);
+        // FIFO tie-break stability: pops must strictly ascend in
+        // `(at, seq)` — equal-time events leave in insertion order.
+        #[cfg(feature = "debug-invariants")]
+        {
+            if let Some(last) = self.last_popped {
+                debug_assert!(
+                    (entry.at, entry.seq) > last,
+                    "pop order regressed: {:?} after {last:?}",
+                    (entry.at, entry.seq)
+                );
             }
-            debug_assert!(entry.at >= self.now);
-            // FIFO tie-break stability: pops must strictly ascend in
-            // `(at, seq)` — equal-time events leave in insertion order.
-            #[cfg(feature = "debug-invariants")]
-            {
-                if let Some(last) = self.last_popped {
-                    debug_assert!(
-                        (entry.at, entry.seq) > last,
-                        "pop order regressed: {:?} after {last:?}",
-                        (entry.at, entry.seq)
-                    );
-                }
-                self.last_popped = Some((entry.at, entry.seq));
-            }
-            self.now = entry.at;
-            self.live.remove(&entry.seq);
-            self.debug_check();
-            return Some((entry.at, entry.event));
+            self.last_popped = Some((entry.at, entry.seq));
         }
-        None
+        self.now = entry.at;
+        Some((entry.at, entry.event))
     }
 
-    /// Removes and returns the earliest live event **strictly before**
-    /// `limit`, advancing the clock to its timestamp. When the next live
-    /// event is at or after `limit` (or the queue is empty) the clock is
-    /// left untouched and `None` is returned; tombstones ahead of the
-    /// boundary are discarded along the way.
+    /// Removes and returns the earliest event **strictly before** `limit`,
+    /// advancing the clock to its timestamp. When the next event is at or
+    /// after `limit` (or the queue is empty) the clock is left untouched
+    /// and `None` is returned.
     ///
     /// This is the primitive behind conservative time-window sharding
     /// (DESIGN.md §14): a shard drains its queue up to the window boundary,
@@ -204,60 +134,25 @@ impl<E> EventQueue<E> {
     /// boundary belong to the *next* window so that boundary-time state
     /// exchanged at the barrier is complete.
     pub fn pop_before(&mut self, limit: Instant) -> Option<(Instant, E)> {
-        loop {
-            let head = self.heap.peek()?;
-            if self.cancelled.contains(&head.seq) {
-                // Tombstone: discard and keep looking.
-                let entry = self.heap.pop().expect("peeked entry must pop");
-                self.cancelled.remove(&entry.seq);
-                self.debug_check();
-                continue;
-            }
-            if head.at >= limit {
-                return None;
-            }
-            return self.pop();
+        if self.next_time()? >= limit {
+            return None;
         }
+        self.pop()
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&self) -> Option<Instant> {
-        self.heap
-            .iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .map(|e| e.at)
-            .min()
+    /// Timestamp of the next event without popping it.
+    pub fn next_time(&self) -> Option<Instant> {
+        self.heap.peek().map(|e| e.at)
     }
 
-    /// Timestamp of the next live event, pruning any leading tombstones.
-    ///
-    /// Behaves exactly like [`peek_time`](EventQueue::peek_time) but takes
-    /// `&mut self` so cancelled entries at the head of the heap can be
-    /// discarded instead of filtered around. Each tombstone is removed at
-    /// most once, so the cost is amortized `O(log n)` versus `peek_time`'s
-    /// `O(n)` full-heap scan — the difference that makes per-window
-    /// quiescence checks affordable in the fleet driver (DESIGN.md §16).
-    pub fn next_time(&mut self) -> Option<Instant> {
-        loop {
-            let head = self.heap.peek()?;
-            if self.cancelled.contains(&head.seq) {
-                let entry = self.heap.pop().expect("peeked entry must pop");
-                self.cancelled.remove(&entry.seq);
-                self.debug_check();
-                continue;
-            }
-            return Some(head.at);
-        }
-    }
-
-    /// Number of pending (live) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.heap.len()
     }
 
-    /// True if no live events are pending.
+    /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -312,11 +207,11 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.next_time(), None);
         q.schedule(Instant::from_millis(10), 1);
         q.schedule(Instant::from_millis(5), 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Instant::from_millis(5)));
+        assert_eq!(q.next_time(), Some(Instant::from_millis(5)));
     }
 
     #[test]
@@ -328,52 +223,6 @@ mod tests {
         // Scheduling relative to the advanced clock works.
         q.schedule(q.now() + Duration::from_secs(1), "second");
         assert_eq!(q.pop().unwrap().1, "second");
-    }
-
-    #[test]
-    fn cancelled_events_never_pop() {
-        let mut q = EventQueue::new();
-        let _a = q.schedule(Instant::from_secs(1), "a");
-        let b = q.schedule(Instant::from_secs(2), "b");
-        let _c = q.schedule(Instant::from_secs(3), "c");
-        assert!(q.cancel(b));
-        assert_eq!(q.len(), 2);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "c"]);
-    }
-
-    #[test]
-    fn cancel_is_exact_and_idempotent() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Instant::from_secs(1), "a");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "second cancel is a no-op");
-        assert!(q.pop().is_none());
-        // A popped key can no longer be cancelled.
-        let b = q.schedule(Instant::from_secs(2), "b");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(!q.cancel(b));
-    }
-
-    #[test]
-    fn cancelling_one_tie_preserves_fifo_of_the_rest() {
-        let mut q = EventQueue::new();
-        let t = Instant::from_secs(4);
-        let keys: Vec<EventKey> = (0..5).map(|i| q.schedule(t, i)).collect();
-        assert!(q.cancel(keys[2]));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Instant::from_secs(1), "a");
-        q.schedule(Instant::from_secs(2), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.peek_time(), Some(Instant::from_secs(2)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]
@@ -393,19 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_discards_tombstones_past_the_boundary() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Instant::from_secs(1), "a");
-        q.schedule(Instant::from_secs(5), "b");
-        assert!(q.cancel(a));
-        // The cancelled head is discarded even though the live head is
-        // beyond the limit.
-        assert_eq!(q.pop_before(Instant::from_secs(2)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_before(Instant::from_secs(6)).unwrap().1, "b");
-    }
-
-    #[test]
     fn pop_before_matches_pop_order() {
         let mut q1 = EventQueue::new();
         let mut q2 = EventQueue::new();
@@ -422,35 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn next_time_agrees_with_peek_time() {
+    fn next_time_follows_the_head_without_popping() {
         let mut q = EventQueue::new();
         assert_eq!(q.next_time(), None::<Instant>);
         q.schedule(Instant::from_millis(10), 1);
         q.schedule(Instant::from_millis(5), 2);
-        assert_eq!(q.next_time(), q.peek_time());
         assert_eq!(q.next_time(), Some(Instant::from_millis(5)));
-    }
-
-    #[test]
-    fn next_time_prunes_cancelled_heads_without_losing_live_entries() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Instant::from_secs(1), "a");
-        let b = q.schedule(Instant::from_secs(2), "b");
-        q.schedule(Instant::from_secs(3), "c");
-        assert!(q.cancel(a));
-        assert!(q.cancel(b));
-        assert_eq!(q.next_time(), Some(Instant::from_secs(3)));
-        assert_eq!(q.len(), 1);
-        // The pruned tombstones are gone for good; popping still yields
-        // exactly the live entries in order.
-        assert_eq!(q.pop().unwrap().1, "c");
+        assert_eq!(q.len(), 2, "peeking pops nothing");
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.next_time(), Some(Instant::from_millis(10)));
+        assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.next_time(), None);
-    }
-
-    #[test]
-    fn cancel_rejects_unknown_key() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        // A key that was never handed out (seq beyond next_seq).
-        assert!(!q.cancel(EventKey(42)));
     }
 }

@@ -141,66 +141,6 @@ proptest! {
         prop_assert_eq!(ids, (0..times.len()).collect::<Vec<_>>());
     }
 
-    /// Cancellation removes exactly the cancelled entries and nothing else:
-    /// the surviving pop order equals the full pop order with the cancelled
-    /// payloads filtered out, and `peek_time`/`len` agree with the live set
-    /// at every step.
-    #[test]
-    fn queue_cancel_removes_exactly_the_cancelled(
-        times in proptest::collection::vec(0u64..1000, 1..150),
-        cancel_picks in proptest::collection::vec(any::<usize>(), 0..60),
-    ) {
-        // Reference: schedule everything, pop everything.
-        let mut reference = EventQueue::new();
-        let mut victim = EventQueue::new();
-        let mut keys = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            reference.schedule(Instant::from_micros(t), i);
-            keys.push(victim.schedule(Instant::from_micros(t), i));
-        }
-        // Cancel an arbitrary subset (with repeats, exercising idempotence).
-        let mut cancelled = std::collections::BTreeSet::new();
-        for &p in &cancel_picks {
-            let i = p % times.len();
-            let newly = victim.cancel(keys[i]);
-            prop_assert_eq!(newly, cancelled.insert(i), "cancel return tracks liveness");
-        }
-        prop_assert_eq!(victim.len(), times.len() - cancelled.len());
-
-        let expected: Vec<(Instant, usize)> = std::iter::from_fn(|| reference.pop())
-            .filter(|&(_, i)| !cancelled.contains(&i))
-            .collect();
-        let mut got = Vec::new();
-        loop {
-            prop_assert_eq!(victim.peek_time(), expected.get(got.len()).map(|&(t, _)| t));
-            match victim.pop() {
-                Some(e) => got.push(e),
-                None => break,
-            }
-        }
-        prop_assert_eq!(got, expected);
-        prop_assert!(victim.is_empty());
-    }
-
-    /// A popped or cancelled key can never cancel again, even after many
-    /// further schedules reuse the queue.
-    #[test]
-    fn queue_keys_are_single_use(times in proptest::collection::vec(0u64..100, 1..50)) {
-        let mut q = EventQueue::new();
-        let keys: Vec<_> = times
-            .iter()
-            .map(|&t| q.schedule(Instant::from_micros(t), t))
-            .collect();
-        // Cancel the first half, pop the rest.
-        for k in &keys[..keys.len() / 2] {
-            q.cancel(*k);
-        }
-        while q.pop().is_some() {}
-        for k in keys {
-            prop_assert!(!q.cancel(k), "spent keys never cancel");
-        }
-    }
-
     /// busy_union equals a brute-force microsecond-marking computation.
     #[test]
     fn busy_union_matches_brute_force(

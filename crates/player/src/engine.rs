@@ -1,19 +1,23 @@
 //! The discrete-event engine behind a [`crate::session::Session`].
 //!
-//! All virtual-time advancement goes through one typed
-//! [`abr_event::EventQueue`]: each loop iteration (re-)arms one scheduled
-//! entry per wake class — transfer completion, playback boundary, buffer
-//! refill, due seek — pops the earliest event, and runs a uniform
-//! simulation step at its timestamp. Stale wakes are cancelled by
-//! [`abr_event::EventKey`] before re-arming, so the queue never holds more
-//! than one live entry per class (plus the deadline sentinel and the
-//! optional live playlist-refresh tick).
+//! Virtual time advances by a min-of-candidates step: each iteration
+//! computes the instant of every way time can move next — the deadline
+//! sentinel, the live playlist-refresh tick, the link's next transfer
+//! completion, the playback boundary, a buffer refill and a due seek —
+//! and dispatches the earliest. The candidates are recomputed from current
+//! state every time, so a stale wake can never fire.
 //!
-//! The deadline is a sentinel event scheduled once at `deadline + 1 µs`:
-//! any event at or before the deadline outranks it, and when it does pop
-//! the engine stops without advancing session time — reproducing both the
-//! "ran past the deadline" and the "starved with a dead link" exits of a
-//! plain two-instant loop, byte for byte.
+//! Ties go to the candidate listed first in that order. Every recorded
+//! artifact depends on it: `tests/session.rs` pins the sentinel and tick
+//! ties end to end, and the profile test pins the per-class dispatch
+//! counts.
+//!
+//! The deadline sentinel sits at `deadline + 1 µs`: any event at or
+//! before the deadline outranks it, and when it wins the engine stops
+//! without advancing session time — reproducing both the "ran past the
+//! deadline" and the "starved with a dead link" exits of a plain
+//! two-instant loop, byte for byte. `tests/legacy_parity.rs` holds a port
+//! of that loop and stays the reference.
 
 use crate::buffer::ChunkBuffer;
 use crate::config::PlayerConfig;
@@ -23,7 +27,6 @@ use crate::policy::AbrPolicy;
 use crate::session::{DeliveryMode, PlaylistFetch};
 use crate::transfer::FlightBoard;
 use abr_event::time::{Duration, Instant};
-use abr_event::{EventKey, EventQueue};
 use abr_httpsim::edge::{EdgeCache, TransferPath};
 use abr_httpsim::origin::Origin;
 use abr_media::content::SharedContent;
@@ -47,7 +50,7 @@ pub(crate) enum SessionEvent {
     BufferRefill,
     /// A scheduled user seek comes due.
     SeekDue,
-    /// The simulation deadline sentinel (scheduled once, never re-armed).
+    /// The simulation deadline sentinel (always a candidate).
     Deadline,
     /// A live playlist-refresh timer fires (only with
     /// [`crate::session::Session::with_playlist_refresh`]).
@@ -69,20 +72,10 @@ impl SessionEvent {
     }
 }
 
-/// The live [`EventKey`] per re-armable wake class. Each is cancelled and
-/// re-scheduled every iteration so exactly one entry per class is live.
-#[derive(Debug, Default)]
-pub(crate) struct ArmedWakes {
-    completion: Option<EventKey>,
-    boundary: Option<EventKey>,
-    refill: Option<EventKey>,
-    seek: Option<EventKey>,
-}
-
 /// A running session: every piece of mutable state behind
-/// [`crate::session::Session::run`], advanced exclusively by popping the
-/// event queue. Construction happens in `session.rs`
-/// (`Session::into_engine`); behavior is split by layer — queue dispatch
+/// [`crate::session::Session::run`], advanced exclusively by dispatching
+/// the earliest candidate event. Construction happens in `session.rs`
+/// (`Session::into_engine`); behavior is split by layer — event dispatch
 /// here, transfer bookkeeping in `transfer.rs`, fetch scheduling in
 /// `fetch.rs`.
 pub(crate) struct Engine {
@@ -116,8 +109,8 @@ pub(crate) struct Engine {
     pub(crate) current_video: Option<usize>,
     pub(crate) playlists_ready: TrackSet,
     // The clock.
-    pub(crate) queue: EventQueue<SessionEvent>,
-    pub(crate) wakes: ArmedWakes,
+    /// The next live playlist-refresh tick, when refreshing is on.
+    pub(crate) refresh_at: Option<Instant>,
     pub(crate) now: Instant,
     // Outputs.
     pub(crate) log: SessionLog,
@@ -136,21 +129,18 @@ impl Engine {
         self.finish()
     }
 
-    /// One engine iteration: re-arm the wake classes, pop the earliest
-    /// event, dispatch it. Returns `false` when the session is over —
-    /// playback ended, the queue ran dry (starved with a dead link), or
-    /// the deadline sentinel popped. `run` is exactly
-    /// `start(); while pump() {}; finish()`; an external driver (the
-    /// fleet's [`crate::stepper::SessionStepper`]) interleaves the same
-    /// iterations with other sessions.
+    /// One engine iteration: dispatch the earliest candidate event.
+    /// Returns `false` when the session is over — playback ended or the
+    /// deadline sentinel won (which also covers a starved session with a
+    /// dead link: the sentinel is then the only candidate). `run` is
+    /// exactly `start(); while pump() {}; finish()`; an external driver
+    /// (the fleet's [`crate::stepper::SessionStepper`]) interleaves the
+    /// same iterations with other sessions.
     pub(crate) fn pump(&mut self) -> bool {
         if self.playback.state() == PlayState::Ended {
             return false;
         }
-        self.arm_wakes();
-        let Some((t, ev)) = self.queue.pop() else {
-            return false; // nothing left, not even the deadline sentinel
-        };
+        let (t, ev) = self.next_event();
         let _dispatch = self.obs.span(ev.span_name());
         match ev {
             SessionEvent::Deadline => return false,
@@ -164,23 +154,18 @@ impl Engine {
     }
 
     /// The session-local timestamp of the next event `pump` would
-    /// dispatch, after re-arming the wake classes against current state;
-    /// `None` when the session is over. Re-arming here and again in the
-    /// following `pump` is order-neutral: every class is cancelled and
-    /// re-scheduled in the same fixed order both times, so the queue's
-    /// relative tie-break order is unchanged — the property the
-    /// fleet-of-1 parity test pins down.
-    pub(crate) fn next_wake(&mut self) -> Option<Instant> {
+    /// dispatch; `None` when the session is over. Computing it changes no
+    /// state, so the following `pump` picks the same event.
+    pub(crate) fn next_wake(&self) -> Option<Instant> {
         if self.playback.state() == PlayState::Ended {
             return None;
         }
-        self.arm_wakes();
-        self.queue.peek_time()
+        Some(self.next_event().0)
     }
 
     /// Emits the session-start lifecycle, distributes the obs handle,
-    /// plants the deadline sentinel (and first refresh tick), issues eager
-    /// playlist prefetches, and runs the t = 0 scheduling round.
+    /// sets the first refresh tick, issues eager playlist prefetches, and
+    /// runs the t = 0 scheduling round.
     pub(crate) fn start(&mut self) {
         let obs = self.obs.clone();
         self.link.set_obs(obs.clone());
@@ -194,17 +179,7 @@ impl Engine {
             chunk_duration: self.chunk_duration,
             num_chunks: self.num_chunks,
         });
-        // The sentinel is scheduled first, so its seq breaks any tie at
-        // `deadline + 1 µs` in its favor: events *at* the deadline still
-        // process, anything later never does.
-        self.queue.schedule(
-            self.deadline + Duration::from_micros(1),
-            SessionEvent::Deadline,
-        );
-        if let Some(period) = self.refresh_period {
-            self.queue
-                .schedule(Instant::ZERO + period, SessionEvent::PlaylistRefresh);
-        }
+        self.refresh_at = self.refresh_period.map(|period| Instant::ZERO + period);
         if self.playlist_fetch == PlaylistFetch::Eager {
             for i in 0..self.content.track_ids().len() {
                 let track = self.content.track_ids()[i];
@@ -216,10 +191,9 @@ impl Engine {
         self.debug_check_flights();
     }
 
-    /// Re-arms the four wake classes against current state. Each class's
-    /// previous entry is cancelled first, so the queue holds at most one
-    /// live entry per class and a stale wake can never fire.
-    fn arm_wakes(&mut self) {
+    /// The earliest of the six candidate events against current state.
+    fn next_event(&self) -> (Instant, SessionEvent) {
+        // Recorded profiles name this span `engine.arm_wakes`.
         let _g = self.obs.span("engine.arm_wakes");
         let completion = self.link.next_completion();
         let boundary = self
@@ -253,51 +227,21 @@ impl Engine {
         } else {
             None
         };
-        Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.completion,
+        Candidates {
+            sentinel: self.deadline + Duration::from_micros(1),
+            refresh: self.refresh_at,
             completion,
-            SessionEvent::TransferComplete,
-        );
-        Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.boundary,
             boundary,
-            SessionEvent::PlaybackBoundary,
-        );
-        Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.refill,
             refill,
-            SessionEvent::BufferRefill,
-        );
-        Self::rearm(
-            &mut self.queue,
-            &mut self.wakes.seek,
             seek,
-            SessionEvent::SeekDue,
-        );
-    }
-
-    /// Cancels a wake class's previous entry (if any) and schedules the
-    /// fresh one.
-    fn rearm(
-        queue: &mut EventQueue<SessionEvent>,
-        slot: &mut Option<EventKey>,
-        at: Option<Instant>,
-        ev: SessionEvent,
-    ) {
-        if let Some(key) = slot.take() {
-            queue.cancel(key);
         }
-        *slot = at.map(|t| queue.schedule(t, ev));
+        .earliest(self.now)
     }
 
     /// One simulation step at `t`: advance the link and playout, fold in
     /// completions, apply due seeks, (re)start playback, schedule fetches,
-    /// sample buffers. Every popped wake — whichever class won the queue —
-    /// runs this same step, which is what makes the engine equivalent to
-    /// the min-of-candidates loop it replaced.
+    /// sample buffers. Every wake — whichever class won — runs this same
+    /// step.
     fn step(&mut self, t: Instant) {
         // Playout first (consumes pre-existing buffer content over
         // [now, t]); completions arriving at t are usable from t on.
@@ -406,7 +350,7 @@ impl Engine {
 
     /// A live playlist-refresh timer fired: run a normal step at the tick
     /// time, then re-poll the media playlists of the currently selected
-    /// tracks and arm the next tick. The poll flows share the per-media
+    /// tracks and set the next tick. The poll flows share the per-media
     /// request pipelines, so a slow poll visibly delays that pipeline's
     /// next chunk — the live-streaming overhead this feature measures.
     fn on_refresh_tick(&mut self, t: Instant) {
@@ -424,10 +368,7 @@ impl Engine {
         }
         self.obs
             .emit(t, || Event::PlaylistRefreshTick { refetched });
-        if let Some(period) = self.refresh_period {
-            self.queue
-                .schedule(t + period, SessionEvent::PlaylistRefresh);
-        }
+        self.refresh_at = self.refresh_period.map(|period| t + period);
     }
 
     /// Records the current buffer levels in the log and the trace.
@@ -453,5 +394,137 @@ impl Engine {
         self.log.seeks = self.playback.seeks().to_vec();
         self.log.finished_at = self.now;
         (self.log, self.edge)
+    }
+}
+
+/// The instant at which each event class would fire next; `None` for a
+/// class with nothing pending.
+#[derive(Debug, Clone, Copy)]
+struct Candidates {
+    /// The deadline sentinel, `deadline + 1 µs`: always present.
+    sentinel: Instant,
+    refresh: Option<Instant>,
+    completion: Option<Instant>,
+    boundary: Option<Instant>,
+    refill: Option<Instant>,
+    seek: Option<Instant>,
+}
+
+impl Candidates {
+    /// The earliest candidate. Ties go to the one listed first: sentinel,
+    /// refresh tick, completion, boundary, refill, seek (see the module
+    /// docs). Panics if any candidate lies before `now` — time never runs
+    /// backwards.
+    fn earliest(self, now: Instant) -> (Instant, SessionEvent) {
+        let all = [
+            (Some(self.sentinel), SessionEvent::Deadline),
+            (self.refresh, SessionEvent::PlaylistRefresh),
+            (self.completion, SessionEvent::TransferComplete),
+            (self.boundary, SessionEvent::PlaybackBoundary),
+            (self.refill, SessionEvent::BufferRefill),
+            (self.seek, SessionEvent::SeekDue),
+        ];
+        let mut best = (self.sentinel, SessionEvent::Deadline);
+        for (at, ev) in all {
+            let Some(at) = at else { continue };
+            assert!(at >= now, "{ev:?} wake into the past: {at} < {now}");
+            if at < best.0 {
+                best = (at, ev);
+            }
+        }
+        best
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use SessionEvent::*;
+
+    fn ms(t: u64) -> Option<Instant> {
+        Some(Instant::from_millis(t))
+    }
+
+    /// Every class pending at `t`, the sentinel at `sentinel`.
+    fn all_at(sentinel: u64, t: u64) -> Candidates {
+        Candidates {
+            sentinel: Instant::from_millis(sentinel),
+            refresh: ms(t),
+            completion: ms(t),
+            boundary: ms(t),
+            refill: ms(t),
+            seek: ms(t),
+        }
+    }
+
+    #[test]
+    fn sentinel_beats_a_wake_at_the_same_instant() {
+        let t = Instant::from_millis(7);
+        assert_eq!(all_at(7, 7).earliest(Instant::ZERO), (t, Deadline));
+        let c = Candidates {
+            seek: ms(6),
+            ..all_at(7, 7)
+        };
+        assert_eq!(
+            c.earliest(Instant::ZERO),
+            (Instant::from_millis(6), SeekDue)
+        );
+    }
+
+    #[test]
+    fn refresh_tick_beats_a_wake_at_the_same_instant() {
+        let c = all_at(100, 5);
+        assert_eq!(
+            c.earliest(Instant::ZERO),
+            (Instant::from_millis(5), PlaylistRefresh)
+        );
+        let c = Candidates {
+            completion: None,
+            ..c
+        };
+        assert_eq!(c.earliest(Instant::ZERO).1, PlaylistRefresh);
+    }
+
+    #[test]
+    fn wakes_tie_in_completion_boundary_refill_seek_order() {
+        let c = Candidates {
+            refresh: None,
+            ..all_at(100, 5)
+        };
+        let pick = |c: Candidates| c.earliest(Instant::ZERO).1;
+        assert_eq!(pick(c), TransferComplete);
+        let c = Candidates {
+            completion: None,
+            ..c
+        };
+        assert_eq!(pick(c), PlaybackBoundary);
+        let c = Candidates {
+            boundary: None,
+            ..c
+        };
+        assert_eq!(pick(c), BufferRefill);
+        let c = Candidates { refill: None, ..c };
+        assert_eq!(pick(c), SeekDue);
+        let c = Candidates { seek: None, ..c };
+        assert_eq!(
+            c.earliest(Instant::ZERO),
+            (Instant::from_millis(100), Deadline)
+        );
+        // An earlier time beats the tie order.
+        let c = Candidates {
+            seek: ms(4),
+            ..all_at(100, 5)
+        };
+        assert_eq!(pick(c), SeekDue);
+    }
+
+    #[test]
+    #[should_panic(expected = "wake into the past")]
+    fn a_candidate_before_now_panics() {
+        let c = Candidates {
+            refill: ms(3),
+            ..all_at(100, 5)
+        };
+        let _ = c.earliest(Instant::from_millis(4));
     }
 }

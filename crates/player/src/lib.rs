@@ -22,7 +22,7 @@
 //!
 //! Behind the facade, the run itself is a typed discrete-event engine
 //! split by layer across three private modules: `engine` (the
-//! [`abr_event::EventQueue`] dispatch loop and time advancement),
+//! min-of-candidates dispatch loop and time advancement),
 //! `transfer` (in-flight requests, edge-cache delay, bandwidth meter) and
 //! `fetch` (scheduler/policy interaction). See DESIGN.md §3.
 

@@ -1,9 +1,9 @@
 //! Externally-clocked session driving for fleet simulations.
 //!
-//! [`crate::session::Session::run`] owns its clock: it pops its private
-//! event queue until the session ends. A fleet interleaves *many*
-//! sessions in one global timeline, so it needs the same engine with the
-//! clock turned inside out: "when is your next event?" / "dispatch it".
+//! [`crate::session::Session::run`] owns its clock: it dispatches its
+//! earliest candidate event until the session ends. A fleet interleaves
+//! *many* sessions in one global timeline, so it needs the same engine with
+//! the clock turned inside out: "when is your next event?" / "dispatch it".
 //! [`SessionStepper`] is that inversion — a thin public shell over the
 //! engine's `pump` loop, exposing exactly the two operations the fleet
 //! driver schedules against its per-domain queue (DESIGN.md §14).
@@ -19,12 +19,10 @@
 //! ```
 //!
 //! produces a byte-identical [`SessionLog`] to `session.run()`. `run` is
-//! `start(); while pump() {}; finish()` over the same engine; the only
-//! extra work here is that `next_wake` re-arms the wake classes a second
-//! time before `dispatch_next` does — a no-op for event order, because
-//! re-arming cancels and re-schedules every class in one fixed order, so
-//! relative tie-breaks are preserved. `tests/fleet_determinism.rs` pins
-//! this down wholesale.
+//! `start(); while pump() {}; finish()` over the same engine, and
+//! `next_wake` only reads: it computes the same earliest candidate that
+//! the following `dispatch_next` computes again and dispatches.
+//! `tests/fleet_determinism.rs` pins this down wholesale.
 
 use crate::engine::Engine;
 use crate::log::SessionLog;
@@ -33,7 +31,7 @@ use abr_event::time::Instant;
 /// A session advanced by an external driver, one event at a time.
 ///
 /// Created by [`crate::session::Session::into_stepper`]; the session's
-/// `t = 0` startup round (deadline sentinel, eager playlist prefetch,
+/// `t = 0` startup round (first refresh tick, eager playlist prefetch,
 /// first fetch schedule) has already run by the time the stepper is
 /// handed out.
 pub struct SessionStepper {
@@ -48,11 +46,10 @@ impl SessionStepper {
         SessionStepper { engine }
     }
 
-    /// The session-local time of the next event to dispatch, re-arming
-    /// the engine's wake classes against current state first. `None`
-    /// means the session is over (playback ended or the queue ran dry) —
-    /// call [`SessionStepper::finish`].
-    pub fn next_wake(&mut self) -> Option<Instant> {
+    /// The session-local time of the next event to dispatch, computed
+    /// from current state. `None` means playback ended — call
+    /// [`SessionStepper::finish`].
+    pub fn next_wake(&self) -> Option<Instant> {
         self.engine.next_wake()
     }
 

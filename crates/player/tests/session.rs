@@ -448,3 +448,55 @@ fn playlist_refresh_off_is_byte_identical_to_before() {
     assert_eq!(a.transfers, b.transfers);
     assert_eq!(a.buffer_samples, b.buffer_samples);
 }
+
+/// A session whose first transfer completes at a known instant, built the
+/// same way each time so a deadline or refresh tick can be placed on it.
+fn tie_session() -> Session {
+    let content = Content::drama_show(1);
+    let origin = Origin::with_overhead(content.clone(), Bytes(320));
+    let link = Link::with_latency(Trace::constant(kbps(2_000)), Duration::from_millis(40));
+    let config = PlayerConfig::default_chunked(content.chunk_duration());
+    Session::new(
+        origin,
+        link,
+        Box::new(FixedPolicy { video: 1, audio: 0 }),
+        config,
+    )
+}
+
+fn first_completion() -> Instant {
+    tie_session().run().transfers[0].at
+}
+
+#[test]
+fn deadline_sentinel_wins_a_tie_with_a_wake() {
+    // The sentinel sits 1 µs past the deadline. A completion exactly there
+    // ties it and must lose: the session ends before processing it.
+    let t = first_completion();
+    let cut = tie_session()
+        .with_deadline(t - Duration::from_micros(1))
+        .run();
+    assert!(cut.transfers.is_empty(), "tied completion was processed");
+    assert!(cut.finished_at < t);
+    // One microsecond later the completion is inside the deadline.
+    let kept = tie_session().with_deadline(t).run();
+    assert_eq!(kept.transfers[0].at, t);
+}
+
+#[test]
+fn refresh_tick_wins_a_tie_with_a_wake() {
+    // A tick and a completion at the same instant run as one step (the
+    // tick's), so the instant is sampled once. If the completion won, the
+    // tick would follow with a second step and a second sample at `t`.
+    let t = first_completion();
+    let log = tie_session()
+        .with_playlist_refresh(
+            t - Instant::ZERO,
+            abr_manifest::build::Packaging::SingleFile,
+        )
+        .run();
+    assert_eq!(log.transfers[0].at, t);
+    assert_eq!(log.playlist_fetches[0].requested_at, t);
+    let samples_at_t = log.buffer_samples.iter().filter(|s| s.at == t).count();
+    assert_eq!(samples_at_t, 1);
+}
