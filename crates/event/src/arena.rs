@@ -89,6 +89,13 @@ impl<T> Arena<T> {
         self.len
     }
 
+    /// Number of slots in the backing storage, live or free. Freed slots
+    /// are reused before the storage grows, so this is the peak number of
+    /// values ever live at once.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Whether the arena holds no live values.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -197,6 +204,7 @@ mod tests {
         assert_ne!(c, b, "reused slot carries a new generation");
         assert_eq!(arena.get(b), None, "old handle must not alias");
         assert_eq!(arena.get(c), Some(&3));
+        assert_eq!(arena.slot_count(), 2, "reuse does not grow the storage");
     }
 
     #[test]

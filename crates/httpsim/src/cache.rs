@@ -5,9 +5,17 @@
 //! demuxed tracks, user B's request for video variant V1 hits the cache
 //! warmed by user A even though their audio choices differ; with muxed
 //! packaging every (V, A) pairing is a distinct object and misses.
+//!
+//! Recency is an intrusive doubly linked list whose nodes live in an
+//! [`Arena`]: a hit moves its node to the head, a miss inserts at the
+//! head, and eviction pops the tail. Every step is O(1) besides the one
+//! entry-table lookup, so a miss never scans the resident entries. The
+//! tail is exactly the least recently touched entry, so the victim
+//! sequence is a pure function of the request sequence (DESIGN.md §10).
 
 use crate::origin::{HttpError, Origin};
 use crate::request::{ObjectId, Request};
+use abr_event::arena::{Arena, SlotId};
 use abr_event::time::Instant;
 use abr_media::units::Bytes;
 use abr_obs::{Event, ObsHandle};
@@ -40,32 +48,39 @@ impl CacheStats {
     }
 }
 
-/// One cached entry in the LRU order bookkeeping.
-#[derive(Debug, Clone)]
-struct Entry {
-    size: Bytes,
-    last_used: u64,
-}
-
 /// Full cache key: `(namespace, object, exact range)`. The namespace
 /// disambiguates identical `ObjectId`s from different catalog titles when
 /// one cache fronts a whole fleet (every title numbers its segments from
 /// chunk 0); single-title callers use namespace 0 throughout.
 type CacheKey = (u64, ObjectId, Option<(u64, u64)>);
 
-/// An LRU cache with a byte-capacity bound.
+/// One resident entry: a node of the recency list. `prev` points toward
+/// the head (more recently touched), `next` toward the tail.
+#[derive(Debug)]
+struct Node {
+    key: CacheKey,
+    size: Bytes,
+    prev: Option<SlotId>,
+    next: Option<SlotId>,
+}
+
+/// An LRU cache with a byte-capacity bound. Each entry is a node of the
+/// recency list; a miss that does not fit pops the list tail, the least
+/// recently touched entry, until it does.
 #[derive(Debug)]
 pub struct CdnCache {
     capacity: Bytes,
     used: Bytes,
-    clock: u64,
-    /// Keyed by `(namespace, object, exact range)`. A `BTreeMap` rather
-    /// than a hash map so that iteration (LRU victim scans) is key-ordered
-    /// and the cache's observable behavior is a pure function of the
-    /// request sequence (ABR-L001; `last_used` stamps are unique, so the
-    /// LRU minimum is unambiguous either way — but the ordered map makes
-    /// the scan order itself deterministic).
-    entries: BTreeMap<CacheKey, Entry>,
+    /// Keyed by `(namespace, object, range)`; only ever looked up, never
+    /// iterated. A `BTreeMap` so no hashed container can leak an order
+    /// into the cache's behavior (ABR-L001).
+    entries: BTreeMap<CacheKey, SlotId>,
+    /// The recency list's nodes, one per entry.
+    nodes: Arena<Node>,
+    /// Most recently touched entry.
+    head: Option<SlotId>,
+    /// Least recently touched entry: the next eviction victim.
+    tail: Option<SlotId>,
     stats: CacheStats,
     obs: ObsHandle,
 }
@@ -77,8 +92,10 @@ impl CdnCache {
         CdnCache {
             capacity,
             used: Bytes::ZERO,
-            clock: 0,
             entries: BTreeMap::new(),
+            nodes: Arena::new(),
+            head: None,
+            tail: None,
             stats: CacheStats::default(),
             obs: ObsHandle::disabled(),
         }
@@ -121,13 +138,13 @@ impl CdnCache {
         namespace: u64,
         now: Instant,
     ) -> Result<(bool, Bytes), HttpError> {
-        self.clock += 1;
         let (object, range) = req.cache_key();
         let key = (namespace, object, range);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.last_used = self.clock;
+        if let Some(&id) = self.entries.get(&key) {
+            self.unlink(id);
+            self.push_front(id);
+            let size = self.node(id).size;
             self.stats.hits += 1;
-            let size = e.size;
             self.stats.bytes_from_cache += size;
             self.record_lookup(req, now, true, size);
             return Ok((true, size));
@@ -140,13 +157,15 @@ impl CdnCache {
                 self.evict_lru();
             }
             self.used += size;
-            self.entries.insert(
-                key,
-                Entry {
-                    size,
-                    last_used: self.clock,
-                },
-            );
+            let id = self.nodes.insert(Node {
+                key: key.clone(),
+                size,
+                prev: None,
+                next: None,
+            });
+            self.push_front(id);
+            self.entries.insert(key, id);
+            self.check_list();
         }
         self.record_lookup(req, now, false, size);
         Ok((false, size))
@@ -164,17 +183,70 @@ impl CdnCache {
         });
     }
 
+    /// Pops the list tail and drops its entry.
     fn evict_lru(&mut self) {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
-            .expect("evict on non-empty cache");
-        let e = self.entries.remove(&victim).expect("present");
-        self.used -= e.size;
+        let id = self.tail.expect("evict on non-empty cache");
+        self.unlink(id);
+        let node = self.nodes.remove(id).expect("tail is a live node");
+        self.entries
+            .remove(&node.key)
+            .expect("evicted key is in the entry table");
+        #[cfg(feature = "debug-invariants")]
+        debug_assert!(node.next.is_none(), "evicted node has a successor");
+        self.used -= node.size;
         self.stats.evictions += 1;
         self.obs.count("cache.evictions", 1);
+        self.check_list();
+    }
+
+    fn node(&self, id: SlotId) -> &Node {
+        self.nodes.get(id).expect("listed slot is live")
+    }
+
+    fn node_mut(&mut self, id: SlotId) -> &mut Node {
+        self.nodes.get_mut(id).expect("listed slot is live")
+    }
+
+    /// Detaches `id` from the list, joining its neighbours.
+    fn unlink(&mut self, id: SlotId) {
+        let Node { prev, next, .. } = *self.node(id);
+        match prev {
+            Some(p) => self.node_mut(p).next = next,
+            None => self.head = next,
+        }
+        match next {
+            Some(n) => self.node_mut(n).prev = prev,
+            None => self.tail = prev,
+        }
+    }
+
+    /// Links the detached node `id` in as the new head.
+    fn push_front(&mut self, id: SlotId) {
+        let old = self.head;
+        let node = self.node_mut(id);
+        node.prev = None;
+        node.next = old;
+        match old {
+            Some(h) => self.node_mut(h).prev = Some(id),
+            None => self.tail = Some(id),
+        }
+        self.head = Some(id);
+    }
+
+    /// O(1) witness that the entry table and the recency list agree
+    /// (DESIGN.md §12): one node per entry, and empty ends exactly when
+    /// the cache is empty. No list walk, so debug runs stay O(1) too.
+    fn check_list(&self) {
+        #[cfg(feature = "debug-invariants")]
+        {
+            debug_assert_eq!(
+                self.nodes.len(),
+                self.entries.len(),
+                "recency list and entry table disagree"
+            );
+            debug_assert_eq!(self.head.is_none(), self.entries.is_empty());
+            debug_assert_eq!(self.tail.is_none(), self.entries.is_empty());
+        }
     }
 
     /// Current counters.
@@ -298,6 +370,63 @@ mod tests {
         assert!(hit_a0, "refreshed entry survived");
         let (hit_a1, _) = c.fetch(&o, &a1).unwrap();
         assert!(!hit_a1, "LRU entry evicted");
+    }
+
+    #[test]
+    fn victim_order_survives_slot_reuse() {
+        let (o, _) = setup();
+        // Four keys of one size: a segment and the same bytes as a range,
+        // each in namespaces 1 and 2. The cache holds exactly two.
+        let seg = Origin::segment_request(TrackId::audio(0), 0);
+        let rng = o.range_request(TrackId::audio(0), 0).unwrap();
+        let size = o.body_size(&seg).unwrap();
+        assert_eq!(o.body_size(&rng).unwrap(), size);
+        let mut c = CdnCache::new(size + size);
+        // (namespace, request, expected hit); comments give the list
+        // head first after the step.
+        let steps = [
+            (1, &seg, false), // 1s
+            (2, &seg, false), // 2s 1s
+            (1, &seg, true),  // 1s 2s
+            (1, &rng, false), // evicts 2s, reuses its slot: 1r 1s
+            (1, &seg, true),  // 1s 1r
+            (2, &rng, false), // evicts 1r, reuses the slot again: 2r 1s
+            (1, &seg, true),  // 1s 2r
+            (2, &rng, true),  // 2r 1s
+            (2, &seg, false), // evicts 1s: 2s 2r
+            (1, &rng, false), // evicts 2r: 1r 2s
+            (2, &seg, true),  // 2s 1r
+        ];
+        for (i, (ns, req, want)) in steps.into_iter().enumerate() {
+            let (hit, _) = c.fetch_keyed(&o, req, ns, Instant::ZERO).unwrap();
+            assert_eq!(hit, want, "step {i}: ({ns}, {req})");
+            assert_eq!(c.len(), 2.min(i + 1));
+        }
+        assert_eq!(c.stats().evictions, 4);
+        assert_eq!(c.nodes.slot_count(), 2, "evicted slots were reused");
+    }
+
+    #[test]
+    fn arena_stays_bounded_by_peak_residency() {
+        let (o, _) = setup();
+        let mut c = CdnCache::new(Bytes(2_000_000));
+        let mut peak = 0;
+        for round in 0..20 {
+            let track = TrackId::video(round % 6);
+            let ns = (round % 3) as u64;
+            for chunk in 1..40 {
+                // A new chunk, then its predecessor again (usually a hit).
+                for k in [chunk, chunk - 1] {
+                    let req = Origin::segment_request(track, k);
+                    c.fetch_keyed(&o, &req, ns, Instant::ZERO).unwrap();
+                    peak = peak.max(c.len());
+                    assert!(c.nodes.slot_count() <= peak);
+                }
+            }
+        }
+        let stats = c.stats();
+        assert!(stats.evictions > 500 && stats.hits > 500, "{stats:?}");
+        assert_eq!(c.nodes.len(), c.len());
     }
 
     #[test]

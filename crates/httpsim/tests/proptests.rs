@@ -1,13 +1,15 @@
-//! Property-based tests: cache capacity/accounting invariants and origin
-//! byte-range consistency.
+//! Property-based tests: cache capacity/accounting invariants, the cache
+//! against a reference LRU, and origin byte-range consistency.
 
-use abr_httpsim::cache::CdnCache;
-use abr_httpsim::origin::Origin;
+use abr_event::time::Instant;
+use abr_httpsim::cache::{CacheStats, CdnCache};
+use abr_httpsim::origin::{HttpError, Origin};
 use abr_httpsim::request::{ObjectId, Request};
 use abr_media::content::Content;
 use abr_media::track::TrackId;
 use abr_media::units::Bytes;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn origin() -> Origin {
     Origin::with_overhead(Content::drama_show(3), Bytes::ZERO)
@@ -27,6 +29,95 @@ fn arb_request() -> impl Strategy<Value = Request> {
             Origin::segment_request(track, chunk)
         }
     })
+}
+
+type Key = (u64, ObjectId, Option<(u64, u64)>);
+
+/// Reference LRU: the stamp-and-scan algorithm `CdnCache` used before its
+/// recency list. Every lookup takes a fresh stamp, a hit re-stamps its
+/// entry, and eviction scans for the smallest stamp.
+struct ScanLru {
+    capacity: Bytes,
+    used: Bytes,
+    clock: u64,
+    entries: BTreeMap<Key, (Bytes, u64)>,
+    stats: CacheStats,
+}
+
+impl ScanLru {
+    fn new(capacity: Bytes) -> ScanLru {
+        ScanLru {
+            capacity,
+            used: Bytes::ZERO,
+            clock: 0,
+            entries: BTreeMap::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn fetch(&mut self, o: &Origin, req: &Request, ns: u64) -> Result<(bool, Bytes), HttpError> {
+        self.clock += 1;
+        let (object, range) = req.cache_key();
+        let key = (ns, object, range);
+        if let Some((size, stamp)) = self.entries.get_mut(&key) {
+            *stamp = self.clock;
+            self.stats.hits += 1;
+            self.stats.bytes_from_cache += *size;
+            return Ok((true, *size));
+        }
+        let size = o.body_size(req)?;
+        self.stats.misses += 1;
+        self.stats.bytes_from_origin += size;
+        if size <= self.capacity {
+            while self.used + size > self.capacity {
+                let victim = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(k, _)| k.clone());
+                let (freed, _) = self
+                    .entries
+                    .remove(&victim.expect("non-empty"))
+                    .expect("present");
+                self.used -= freed;
+                self.stats.evictions += 1;
+            }
+            self.used += size;
+            self.entries.insert(key, (size, self.clock));
+        }
+        Ok((false, size))
+    }
+}
+
+/// One differential step: `(kind, track, chunk, namespace, back)`.
+type Step = (u8, usize, usize, u64, usize);
+
+/// Kinds 5–7 repeat the request `back` steps ago, so entries are hit at
+/// every depth of the recency order. Otherwise a new request: kind 0 a
+/// whole track file (oversized), 1–2 a byte range, 3–4 a segment, of one
+/// of four tracks and six chunks; chunks 6 and 7 lie past the end and
+/// must error.
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u8..8, 0usize..4, 0usize..8, 0u64..3, 0usize..8)
+}
+
+fn step_request(o: &Origin, history: &[(Request, u64)], step: Step) -> (Request, u64) {
+    let (kind, t, chunk, ns, back) = step;
+    if kind >= 5 && back < history.len() {
+        return history[history.len() - 1 - back].clone();
+    }
+    let track = if t < 2 {
+        TrackId::video(t)
+    } else {
+        TrackId::audio(t - 2)
+    };
+    let req = match (kind, chunk) {
+        (0, _) => Request::whole(ObjectId::TrackFile { track }),
+        (1 | 2, 0..6) => o.range_request(track, chunk).unwrap(),
+        (_, 0..6) => Origin::segment_request(track, chunk),
+        _ => Origin::segment_request(track, o.content().num_chunks() + chunk - 6),
+    };
+    (req, ns)
 }
 
 proptest! {
@@ -135,5 +226,31 @@ proptest! {
         let video = origin.body_size(&Origin::segment_request(TrackId::video(v), chunk)).unwrap();
         let audio = origin.body_size(&Origin::segment_request(TrackId::audio(a), chunk)).unwrap();
         prop_assert_eq!(muxed, video + audio);
+    }
+
+    /// Differential: under eviction-heavy capacities, oversized objects
+    /// and erroring requests across three namespaces, `CdnCache` returns
+    /// what the stamp-and-scan reference returns at every step, and their
+    /// counters, stored bytes and entry counts never diverge.
+    #[test]
+    fn cache_matches_stamp_and_scan_reference(
+        steps in proptest::collection::vec(arb_step(), 1..200),
+        capacity_kb in 8u64..512,
+    ) {
+        let origin = origin();
+        let capacity = Bytes(capacity_kb * 1024);
+        let mut cache = CdnCache::new(capacity);
+        let mut reference = ScanLru::new(capacity);
+        let mut history = Vec::new();
+        for (i, step) in steps.into_iter().enumerate() {
+            let (req, ns) = step_request(&origin, &history, step);
+            let got = cache.fetch_keyed(&origin, &req, ns, Instant::ZERO);
+            let want = reference.fetch(&origin, &req, ns);
+            prop_assert_eq!(&got, &want, "step {}: ({}, {})", i, ns, req);
+            prop_assert_eq!(cache.stats(), reference.stats, "stats after step {}", i);
+            prop_assert_eq!(cache.used(), reference.used, "used after step {}", i);
+            prop_assert_eq!(cache.len(), reference.entries.len(), "len after step {}", i);
+            history.push((req, ns));
+        }
     }
 }

@@ -1,13 +1,15 @@
-//! Differential test: the event-queue engine versus the loop it replaced.
+//! Differential test: the session engine versus the loop it replaced.
 //!
 //! `legacy_run` is a faithful port of the session loop as it existed
 //! before the engine rewrite — virtual time advanced by taking the `min`
 //! of the candidate instants (transfer completion, playback boundary,
 //! refill wake, due seek) each iteration, with the deadline checked
-//! inline. The engine instead arms those candidates as typed events on an
-//! `abr_event::EventQueue` and pops the earliest. The two must produce
-//! **identical** [`SessionLog`]s — every selection, transfer, buffer
-//! sample, stall and timestamp — across every session feature.
+//! inline. The engine instead computes typed candidate events (deadline
+//! sentinel, playlist-refresh tick, completion, boundary, refill, seek),
+//! takes the earliest with ties going to the first listed, and dispatches
+//! it to that event class's handler. The two must produce **identical**
+//! [`SessionLog`]s — every selection, transfer, buffer sample, stall and
+//! timestamp — across every session feature.
 
 use abr_event::time::{busy_union, Duration, Instant};
 use abr_httpsim::edge::{EdgeCache, TransferPath};
