@@ -1,8 +1,21 @@
 //! One function per paper artifact. See DESIGN.md §7 for the index and
 //! EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+//!
+//! The sessions behind Fig 2–5, the §4.1 F3-fix repair and the BP1/BP5
+//! sweeps are written down once, in the `paper_sessions` table. A
+//! figure runs its table entries bare and summarizes the logs;
+//! `exp --id <id> --trace/--chrome/--metrics/--profile` runs the very
+//! same entries under a deterministic recording handle
+//! ([`traced_sessions`], [`profiled_sessions`]), so the trace a user
+//! opens is the session that produced the figure. The pure tables, f4x's
+//! estimate sweep, and the experiments that share cache or storage state
+//! or configure their sessions by hand (bp2–bp4, m1–m3) have no entry.
+
+use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::report::{ascii_plot, table, Series};
-use crate::runner::{self, SessionOutcome, SessionSpec};
+use crate::runner::{self, SessionOutcome};
 use crate::setup::*;
 use abr_core::{BestPracticePolicy, DashJsPolicy, ExoPlayerPolicy, ShakaPolicy};
 use abr_event::time::Duration;
@@ -11,11 +24,14 @@ use abr_httpsim::origin::Origin;
 use abr_httpsim::request::{ObjectId, Request};
 use abr_httpsim::storage::StorageComparison;
 use abr_media::combo::{all_combos, combo_bitrate, curated_subset, log_staircase, Combo};
+use abr_media::content::SharedContent;
 use abr_media::track::{MediaType, TrackId};
 use abr_media::units::{BitsPerSec, Bytes};
 use abr_media::vbr::measure;
 use abr_net::trace::Trace;
+use abr_obs::Profiler;
 use abr_player::config::SyncMode;
+use abr_player::policy::AbrPolicy;
 use abr_player::SessionLog;
 use serde_json::{json, Value};
 
@@ -79,258 +95,291 @@ pub fn run_jobs(id: &str, jobs: usize) -> Option<ExperimentResult> {
     })
 }
 
-/// One observed session of the canonical-figure set: runs the session
-/// named by `(id, arm)` under a deterministic recording `ObsHandle`.
-/// Everything is rebuilt inside the call (content, views, policy), so
-/// the function is a pure closure body for a [`SessionSpec`] job.
-fn observed_session(
-    id: &str,
-    arm: usize,
-    profiler: Option<&std::rc::Rc<abr_obs::Profiler>>,
-) -> SessionOutcome {
-    SessionOutcome::from_obs(match (id, arm) {
-        ("f2a", _) | ("f2b", _) => {
+/// Builds a session's policy afresh for every run, over a view the table
+/// built once.
+type PolicyFn = Box<dyn Fn() -> Box<dyn AbrPolicy> + Send + Sync>;
+
+/// Wraps a concrete policy constructor as a [`PolicyFn`].
+fn policy<P: AbrPolicy + 'static>(build: impl Fn() -> P + Send + Sync + 'static) -> PolicyFn {
+    Box::new(move || Box::new(build()))
+}
+
+/// One session of a paper figure, as plain data. [`PaperSession::run`]
+/// gives the artifact its log and [`PaperSession::observe`] gives the
+/// trace path its outcome; both run exactly this description.
+struct PaperSession {
+    /// `<experiment>/<session>`; names the session in `exp` output.
+    label: String,
+    /// The artifact row the session fills: the sweep's trace name, or
+    /// f3fix's player label. Empty for single-session figures.
+    row: &'static str,
+    content: SharedContent,
+    kind: PlayerKind,
+    policy: PolicyFn,
+    trace: Trace,
+}
+
+impl PaperSession {
+    /// The bare session, as the artifact summarizes it.
+    fn run(&self) -> SessionLog {
+        run_session(
+            &self.content,
+            self.kind,
+            (self.policy)(),
+            self.trace.clone(),
+        )
+    }
+
+    /// The same session under a deterministic recording handle, with an
+    /// optional span profiler that observes the run and never steers it.
+    fn observe(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
+        let (log, events, metrics) = run_session_obs_profiled(
+            &self.content,
+            self.kind,
+            (self.policy)(),
+            self.trace.clone(),
+            profiler,
+        );
+        SessionOutcome {
+            label: self.label.clone(),
+            log,
+            events,
+            metrics,
+        }
+    }
+}
+
+/// The session table: every traceable experiment's sessions in artifact
+/// row order, with content, views and traces built once per call. `None`
+/// for the pure tables and the experiments that build their sessions
+/// some other way (f4x, bp2–bp4, m1–m3) and for unknown ids.
+fn paper_sessions(id: &str) -> Option<Vec<PaperSession>> {
+    let single = |name: &str, content: SharedContent, kind, policy, trace| {
+        vec![PaperSession {
+            label: format!("{id}/{name}"),
+            row: "",
+            content,
+            kind,
+            policy,
+            trace,
+        }]
+    };
+    Some(match id {
+        "f2a" | "f2b" => {
             let content = if id == "f2b" {
                 drama_high_audio()
             } else {
                 drama_low_audio()
             };
             let view = dash_view(&content);
-            let policy = ExoPlayerPolicy::dash(&view);
-            run_session_obs_profiled(
-                &content,
+            single(
+                "exoplayer-dash-900k",
+                content,
                 PlayerKind::ExoPlayer,
-                Box::new(policy),
+                policy(move || ExoPlayerPolicy::dash(&view)),
                 Trace::constant(BitsPerSec::from_kbps(900)),
-                profiler,
             )
         }
-        ("f3a", _) | ("f3b", _) => {
+        "f3a" | "f3b" => {
+            // H_sub with A3 listed first; time-varying trace averaging
+            // 600 Kbps.
             let content = drama();
             let view = hls_sub_view(&content, &[2, 0, 1]);
-            let policy = ExoPlayerPolicy::hls(&view);
-            run_session_obs_profiled(
-                &content,
+            single(
+                "exoplayer-hls-varying600k",
+                content,
                 PlayerKind::ExoPlayer,
-                Box::new(policy),
+                policy(move || ExoPlayerPolicy::hls(&view)),
                 Trace::fig3_varying_600k(Duration::from_secs(3600)),
-                profiler,
             )
         }
-        ("f3x", _) => {
+        "f3x" => {
             let content = drama();
             let view = hls_sub_view(&content, &[0, 1, 2]);
-            let policy = ExoPlayerPolicy::hls(&view);
-            run_session_obs_profiled(
-                &content,
+            single(
+                "exoplayer-hls-5m",
+                content,
                 PlayerKind::ExoPlayer,
-                Box::new(policy),
+                policy(move || ExoPlayerPolicy::hls(&view)),
                 Trace::constant(BitsPerSec::from_kbps(5000)),
-                profiler,
             )
         }
-        ("f3fix", arm) => {
-            use abr_manifest::build::build_master_playlist_ext;
-            use abr_manifest::view::BoundHls;
-            use abr_manifest::MasterPlaylist;
-            use abr_player::policy::AbrPolicy;
-
+        "f3fix" => f3fix_sessions(),
+        "f4a" | "f4b" => {
             let content = drama();
-            let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
-            let stock_view = hls_sub_view(&content, &[2, 0, 1]);
-            let (kind, policy): (PlayerKind, Box<dyn AbrPolicy>) = match arm {
-                0 => (
-                    PlayerKind::ExoPlayer,
-                    Box::new(ExoPlayerPolicy::hls(&stock_view)),
-                ),
-                1 => {
-                    let combos = curated_subset(content.video(), content.audio());
-                    let ext_master = build_master_playlist_ext(&content, &combos, &[2, 0, 1]);
-                    let ext_view = BoundHls::from_master(
-                        &MasterPlaylist::parse(&ext_master.to_text()).expect("parses"),
-                    )
-                    .expect("binds");
-                    (
-                        PlayerKind::ExoPlayer,
-                        Box::new(ExoPlayerPolicy::hls_fixed(&ext_view).expect("extension present")),
-                    )
-                }
-                _ => (
-                    PlayerKind::BestPractice,
-                    Box::new(BestPracticePolicy::from_hls(&stock_view)),
-                ),
+            let view = hls_all_view(&content);
+            let (name, trace) = if id == "f4b" {
+                (
+                    "shaka-hls-varying600k",
+                    Trace::fig4b_varying_600k(Duration::from_secs(3600)),
+                )
+            } else {
+                ("shaka-hls-1m", Trace::constant(BitsPerSec::from_kbps(1000)))
             };
-            run_session_obs_profiled(&content, kind, policy, trace, profiler)
-        }
-        ("f4a", _) => {
-            let content = drama();
-            let view = hls_all_view(&content);
-            let policy = ShakaPolicy::hls(&view);
-            run_session_obs_profiled(
-                &content,
+            single(
+                name,
+                content,
                 PlayerKind::Shaka,
-                Box::new(policy),
-                Trace::constant(BitsPerSec::from_kbps(1000)),
-                profiler,
+                policy(move || ShakaPolicy::hls(&view)),
+                trace,
             )
         }
-        ("f4b", _) => {
-            let content = drama();
-            let view = hls_all_view(&content);
-            let policy = ShakaPolicy::hls(&view);
-            run_session_obs_profiled(
-                &content,
-                PlayerKind::Shaka,
-                Box::new(policy),
-                Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-                profiler,
-            )
-        }
-        ("f5a", _) | ("f5b", _) => {
+        "f5a" | "f5b" => {
             let content = drama();
             let view = dash_view(&content);
-            let policy = DashJsPolicy::new(&view);
-            run_session_obs_profiled(
-                &content,
+            single(
+                "dashjs-700k",
+                content,
                 PlayerKind::DashJs,
-                Box::new(policy),
+                policy(move || DashJsPolicy::new(&view)),
                 Trace::constant(BitsPerSec::from_kbps(700)),
-                profiler,
             )
         }
-        ("bp1", arm) => {
-            let (_, trace, kind) = bp1_grid().swap_remove(arm);
-            let content = drama();
-            let policy = dash_policy(kind, &content);
-            run_session_obs_profiled(&content, kind, policy, trace, profiler)
-        }
-        ("bp5", arm) => {
-            let (_, trace, kind) = bp5_grid().swap_remove(arm);
-            let content = drama();
-            let policy = dash_policy(kind, &content);
-            run_session_obs_profiled(&content, kind, policy, trace, profiler)
-        }
-        _ => unreachable!("observed_session called with untraceable id {id}"),
-    })
-}
-
-/// The per-session specs behind an experiment's `--trace/--chrome/
-/// --metrics` path, in a stable authored order. Single-session figures
-/// yield one spec; the sweep experiments (`f3fix`, `bp1`, `bp5`) yield
-/// one spec per grid cell so tracing a sweep writes per-session files.
-/// Returns `None` for pure tables and for the stateful experiments
-/// (`bp3`, `m1`, `m3`) whose sessions share cache/storage state and
-/// cannot be observed independently.
-pub fn session_specs(id: &str) -> Option<Vec<SessionSpec>> {
-    fn single(id: &'static str, label: &str) -> Vec<SessionSpec> {
-        vec![SessionSpec::new(
-            format!("{id}/{label}"),
-            SEED,
-            0,
-            move |_rng, prof| observed_session(id, 0, prof),
-        )]
-    }
-    Some(match id {
-        "f2a" => single("f2a", "exoplayer-dash-900k"),
-        "f2b" => single("f2b", "exoplayer-dash-900k"),
-        "f3a" => single("f3a", "exoplayer-hls-varying600k"),
-        "f3b" => single("f3b", "exoplayer-hls-varying600k"),
-        "f3x" => single("f3x", "exoplayer-hls-5m"),
-        "f4a" => single("f4a", "shaka-hls-1m"),
-        "f4b" => single("f4b", "shaka-hls-varying600k"),
-        "f5a" => single("f5a", "dashjs-700k"),
-        "f5b" => single("f5b", "dashjs-700k"),
-        "f3fix" => ["stock-exoplayer-hls", "exoplayer-hls-fixed", "bestpractice"]
-            .iter()
-            .enumerate()
-            .map(|(arm, name)| {
-                SessionSpec::new(
-                    format!("f3fix/{name}"),
-                    SEED,
-                    arm as u64,
-                    move |_rng, prof| observed_session("f3fix", arm, prof),
-                )
-            })
-            .collect(),
-        "bp1" => bp1_grid()
-            .into_iter()
-            .enumerate()
-            .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new(
-                    format!("bp1/{tname}/{kind:?}"),
-                    SEED,
-                    arm as u64,
-                    move |_rng, prof| observed_session("bp1", arm, prof),
-                )
-            })
-            .collect(),
-        "bp5" => bp5_grid()
-            .into_iter()
-            .enumerate()
-            .map(|(arm, (tname, _, kind))| {
-                SessionSpec::new(
-                    format!("bp5/{tname}/{kind:?}"),
-                    SEED,
-                    arm as u64,
-                    move |_rng, prof| observed_session("bp5", arm, prof),
-                )
-            })
-            .collect(),
+        "bp1" => dash_sweep(
+            "bp1",
+            vec![
+                ("700k fixed", Trace::constant(BitsPerSec::from_kbps(700))),
+                ("900k fixed", Trace::constant(BitsPerSec::from_kbps(900))),
+                ("1M fixed", Trace::constant(BitsPerSec::from_kbps(1000))),
+                (
+                    "varying-600k",
+                    Trace::fig3_varying_600k(Duration::from_secs(3600)),
+                ),
+            ],
+        ),
+        "bp5" => dash_sweep("bp5", abr_net::corpus::all(Duration::from_secs(3600), SEED)),
         _ => return None,
     })
 }
 
-/// Runs an experiment's traceable sessions (see [`session_specs`]) across
-/// `min(jobs, cores)` workers; outcomes come back in spec order, so the
-/// emitted per-session artifacts are identical at every `jobs` value.
+/// The §4.1 repairs on the exact Fig 3 setup: stock ExoPlayer HLS (A3
+/// listed first), the repaired HLS path fed per-track bitrates through
+/// the extended master playlist (same listing), and the best-practice
+/// player on the stock manifest.
+fn f3fix_sessions() -> Vec<PaperSession> {
+    use abr_manifest::build::build_master_playlist_ext;
+    use abr_manifest::view::BoundHls;
+    use abr_manifest::MasterPlaylist;
+
+    let content = drama();
+    let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
+    let stock_view = Arc::new(hls_sub_view(&content, &[2, 0, 1]));
+    let combos = curated_subset(content.video(), content.audio());
+    let ext_master = build_master_playlist_ext(&content, &combos, &[2, 0, 1]);
+    let ext_view =
+        BoundHls::from_master(&MasterPlaylist::parse(&ext_master.to_text()).expect("parses"))
+            .expect("binds");
+    let bp_view = Arc::clone(&stock_view);
+    let arms = [
+        (
+            "stock-exoplayer-hls",
+            "stock exoplayer-hls",
+            PlayerKind::ExoPlayer,
+            policy(move || ExoPlayerPolicy::hls(&stock_view)),
+        ),
+        (
+            "exoplayer-hls-fixed",
+            "exoplayer-hls-fixed (§4.1 ext)",
+            PlayerKind::ExoPlayer,
+            policy(move || ExoPlayerPolicy::hls_fixed(&ext_view).expect("extension present")),
+        ),
+        (
+            "bestpractice",
+            "bestpractice (same manifest)",
+            PlayerKind::BestPractice,
+            policy(move || BestPracticePolicy::from_hls(&bp_view)),
+        ),
+    ];
+    arms.into_iter()
+        .map(|(name, row, kind, policy)| PaperSession {
+            label: format!("f3fix/{name}"),
+            row,
+            content: SharedContent::clone(&content),
+            kind,
+            policy,
+            trace: trace.clone(),
+        })
+        .collect()
+}
+
+/// A policy shootout over DASH: every trace × the six player kinds,
+/// traces outer, all over one DASH view of the drama show.
+fn dash_sweep(id: &str, traces: Vec<(&'static str, Trace)>) -> Vec<PaperSession> {
+    const KINDS: [PlayerKind; 6] = [
+        PlayerKind::ExoPlayer,
+        PlayerKind::Shaka,
+        PlayerKind::DashJs,
+        PlayerKind::Bba,
+        PlayerKind::Mpc,
+        PlayerKind::BestPractice,
+    ];
+    let content = drama();
+    let view = Arc::new(dash_view(&content));
+    let mut sessions = Vec::with_capacity(traces.len() * KINDS.len());
+    for (name, trace) in traces {
+        for kind in KINDS {
+            let (c, v) = (SharedContent::clone(&content), Arc::clone(&view));
+            sessions.push(PaperSession {
+                label: format!("{id}/{name}/{kind:?}"),
+                row: name,
+                content: SharedContent::clone(&content),
+                kind,
+                policy: Box::new(move || dash_policy_over(kind, &c, &v)),
+                trace: trace.clone(),
+            });
+        }
+    }
+    sessions
+}
+
+/// The single session behind a one-session figure.
+fn sole_session(id: &str) -> PaperSession {
+    let mut sessions = paper_sessions(id).expect("traceable experiment");
+    assert_eq!(sessions.len(), 1, "{id} is a one-session figure");
+    sessions.remove(0)
+}
+
+/// Runs a multi-session figure's sessions bare across `min(jobs, cores)`
+/// workers; logs come back in table order.
+fn run_all(sessions: &[PaperSession], jobs: usize) -> Vec<SessionLog> {
+    runner::run_indexed(sessions.len(), jobs, |i| sessions[i].run())
+}
+
+/// Runs an experiment's table sessions (see `paper_sessions`) under
+/// deterministic recording across `min(jobs, cores)` workers. Outcomes
+/// come back in table order, so the emitted per-session artifacts are
+/// identical at every `jobs` value. `None` for experiments with no
+/// table entry.
 pub fn traced_sessions(id: &str, jobs: usize) -> Option<Vec<SessionOutcome>> {
-    let specs = session_specs(id)?;
-    Some(runner::run_indexed(specs.len(), jobs, |i| {
-        specs[i].run(None)
+    let sessions = paper_sessions(id)?;
+    Some(runner::run_indexed(sessions.len(), jobs, |i| {
+        sessions[i].observe(None)
     }))
 }
 
 /// [`traced_sessions`] with span profiling (`exp --id <id> --profile`):
 /// every session runs with a private profiler wired into its `ObsHandle`,
 /// and the pool reports the merged span tree plus its own phase/worker
-/// accounting. Outcomes are byte-identical to [`traced_sessions`].
+/// accounting. Building the table is the profile's setup phase. Outcomes
+/// are byte-identical to [`traced_sessions`].
 pub fn profiled_sessions(
     id: &str,
     jobs: usize,
 ) -> Option<(Vec<SessionOutcome>, crate::profiling::WorkloadProfile)> {
     let setup = abr_obs::HostStopwatch::start();
-    let specs = session_specs(id)?;
+    let sessions = paper_sessions(id)?;
     let setup_ns = setup.elapsed_ns();
     // Profilers are `Rc`-shared and never cross threads: each session
     // builds its own, and only the owned report goes back to the pool.
-    let (outcomes, pool) = runner::run_indexed_profiled(specs.len(), jobs, None, |i| {
-        let profiler = std::rc::Rc::new(abr_obs::Profiler::new());
-        let outcome = specs[i].run(Some(&profiler));
+    let (outcomes, pool) = runner::run_indexed_profiled(sessions.len(), jobs, None, |i| {
+        let profiler = Rc::new(Profiler::new());
+        let outcome = sessions[i].observe(Some(&profiler));
         (outcome, profiler.report())
     });
     Some((
         outcomes,
         crate::profiling::WorkloadProfile::from_pool(id, setup_ns, pool),
     ))
-}
-
-/// Re-runs the single canonical session underlying an experiment with a
-/// recording tracer and metrics attached. Returns `None` for experiments
-/// that are pure tables or multi-session sweeps — for those, use
-/// [`traced_sessions`], which traces every session of the sweep.
-pub fn traced_session(
-    id: &str,
-) -> Option<(
-    SessionLog,
-    Vec<abr_obs::TracedEvent>,
-    abr_obs::MetricsSnapshot,
-)> {
-    let specs = session_specs(id)?;
-    if specs.len() != 1 {
-        return None;
-    }
-    let outcome = specs[0].run(None);
-    Some((outcome.log, outcome.events, outcome.metrics))
 }
 
 // ---------------------------------------------------------------------
@@ -468,24 +517,15 @@ fn log_summary_json(log: &SessionLog) -> Value {
 /// Fig 2(a)/(b): ExoPlayer DASH with the low "B" (or high "C") audio set
 /// at a fixed 900 Kbps.
 fn f2(high_audio: bool) -> ExperimentResult {
-    let content = if high_audio {
-        drama_high_audio()
-    } else {
-        drama_low_audio()
-    };
-    let view = dash_view(&content);
-    let policy = ExoPlayerPolicy::dash(&view);
-    let staircase: Vec<String> = policy
+    let session = sole_session(if high_audio { "f2b" } else { "f2a" });
+    let content = &session.content;
+    // The staircase is read off the policy, not the session.
+    let staircase: Vec<String> = ExoPlayerPolicy::dash(&dash_view(content))
         .combinations()
         .iter()
         .map(ToString::to_string)
         .collect();
-    let log = run_session(
-        &content,
-        PlayerKind::ExoPlayer,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(900)),
-    );
+    let log = session.run();
     let dominant = abr_qoe::combos_used(&log)
         .into_iter()
         .max_by_key(|&(_, n)| n)
@@ -558,23 +598,11 @@ fn f2(high_audio: bool) -> ExperimentResult {
 // Fig 3 — ExoPlayer HLS
 // ---------------------------------------------------------------------
 
-fn f3_session() -> SessionLog {
-    let content = drama();
-    // H_sub with A3 listed first; time-varying trace averaging 600 Kbps.
-    let view = hls_sub_view(&content, &[2, 0, 1]);
-    let policy = ExoPlayerPolicy::hls(&view);
-    run_session(
-        &content,
-        PlayerKind::ExoPlayer,
-        Box::new(policy),
-        Trace::fig3_varying_600k(Duration::from_secs(3600)),
-    )
-}
-
 /// Fig 3(a): selection timeline — audio pinned at A3, off-manifest combos.
 fn f3a() -> ExperimentResult {
-    let content = drama();
-    let log = f3_session();
+    let session = sole_session("f3a");
+    let content = &session.content;
+    let log = session.run();
     let allowed = curated_subset(content.video(), content.audio());
     let audio_tracks = log.distinct_tracks(MediaType::Audio);
     let off = abr_qoe::off_manifest_chunks(&log, &allowed);
@@ -631,7 +659,7 @@ fn f3a() -> ExperimentResult {
 
 /// Fig 3(b): audio/video buffer levels with stall windows.
 fn f3b() -> ExperimentResult {
-    let log = f3_session();
+    let log = sole_session("f3b").run();
     let a = downsample(&buffer_series(&log, MediaType::Audio), 140);
     let v = downsample(&buffer_series(&log, MediaType::Video), 140);
     let mut text = ascii_plot(
@@ -679,15 +707,7 @@ fn f3b() -> ExperimentResult {
 /// §3.2's second HLS experiment (no figure): A1 listed first, 5 Mbps —
 /// audio stays pinned at A1 despite ample headroom.
 fn f3x() -> ExperimentResult {
-    let content = drama();
-    let view = hls_sub_view(&content, &[0, 1, 2]);
-    let policy = ExoPlayerPolicy::hls(&view);
-    let log = run_session(
-        &content,
-        PlayerKind::ExoPlayer,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(5000)),
-    );
+    let log = sole_session("f3x").run();
     let audio_tracks = log.distinct_tracks(MediaType::Audio);
     let text = format!(
         "link: 5 Mbps fixed; H_sub with A1 listed first\n\
@@ -713,54 +733,18 @@ fn f3x() -> ExperimentResult {
     }
 }
 
-/// The §4.1 repairs, evaluated on the exact Fig 3 setup: stock ExoPlayer
-/// HLS (pinned audio) versus (a) the repaired HLS path fed per-track
-/// bitrates via the proposed master-playlist extension and (b) the
-/// best-practice player on the same manifest.
+/// The §4.1 repairs, evaluated on the exact Fig 3 setup (see
+/// [`f3fix_sessions`]): stock ExoPlayer HLS (pinned audio) versus (a) the
+/// repaired HLS path fed per-track bitrates via the proposed
+/// master-playlist extension and (b) the best-practice player on the
+/// same manifest.
 fn f3fix(jobs: usize) -> ExperimentResult {
-    use abr_manifest::build::build_master_playlist_ext;
-    use abr_manifest::view::BoundHls;
-    use abr_manifest::MasterPlaylist;
-    use abr_player::policy::AbrPolicy;
-
-    let content = drama();
-    let trace = Trace::fig3_varying_600k(Duration::from_secs(3600));
-    let combos = curated_subset(content.video(), content.audio());
-
-    // Stock manifest (A3 first) and extended manifest (same listing).
-    let stock_view = hls_sub_view(&content, &[2, 0, 1]);
-    let ext_master = build_master_playlist_ext(&content, &combos, &[2, 0, 1]);
-    let ext_view =
-        BoundHls::from_master(&MasterPlaylist::parse(&ext_master.to_text()).expect("parses"))
-            .expect("binds");
-
-    type PolicyThunk<'a> = Box<dyn Fn() -> Box<dyn AbrPolicy> + Send + Sync + 'a>;
-    let arms: Vec<(&'static str, PlayerKind, PolicyThunk<'_>)> = vec![
-        (
-            "stock exoplayer-hls",
-            PlayerKind::ExoPlayer,
-            Box::new(|| Box::new(ExoPlayerPolicy::hls(&stock_view)) as Box<dyn AbrPolicy>),
-        ),
-        (
-            "exoplayer-hls-fixed (§4.1 ext)",
-            PlayerKind::ExoPlayer,
-            Box::new(|| {
-                Box::new(ExoPlayerPolicy::hls_fixed(&ext_view).expect("extension present"))
-                    as Box<dyn AbrPolicy>
-            }),
-        ),
-        (
-            "bestpractice (same manifest)",
-            PlayerKind::BestPractice,
-            Box::new(|| Box::new(BestPracticePolicy::from_hls(&stock_view)) as Box<dyn AbrPolicy>),
-        ),
-    ];
-    let logs = runner::run_indexed(arms.len(), jobs, |i| {
-        run_session(&content, arms[i].1, (arms[i].2)(), trace.clone())
-    });
+    let sessions = f3fix_sessions();
+    let logs = run_all(&sessions, jobs);
     let mut rows = Vec::new();
     let mut jrows = Vec::new();
-    for ((label, _, _), log) in arms.iter().zip(&logs) {
+    for (session, log) in sessions.iter().zip(&logs) {
+        let label = session.row;
         let q = abr_qoe::summarize(log);
         let audio_used: Vec<String> = log
             .distinct_tracks(MediaType::Audio)
@@ -816,15 +800,7 @@ fn f3fix(jobs: usize) -> ExperimentResult {
 /// Fig 4(a): Shaka over `H_all` at a fixed 1 Mbps — the 16 KB filter
 /// rejects every sample and the estimate stays at the 500 Kbps default.
 fn f4a() -> ExperimentResult {
-    let content = drama();
-    let view = hls_all_view(&content);
-    let policy = ShakaPolicy::hls(&view);
-    let log = run_session(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(1000)),
-    );
+    let log = sole_session("f4a").run();
     let est = estimate_series(&log);
     let est_plot = downsample(&est, 70);
     let mut text = ascii_plot(
@@ -862,15 +838,7 @@ fn f4a() -> ExperimentResult {
 /// Fig 4(b): Shaka over a dynamic mean-600 Kbps trace — under- then
 /// over-estimation.
 fn f4b() -> ExperimentResult {
-    let content = drama();
-    let view = hls_all_view(&content);
-    let policy = ShakaPolicy::hls(&view);
-    let log = run_session(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(policy),
-        Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-    );
+    let log = sole_session("f4b").run();
     let est = estimate_series(&log);
     let est_plot = downsample(&est, 70);
     let mut text = ascii_plot(
@@ -961,22 +929,10 @@ fn f4x() -> ExperimentResult {
 // Fig 5 — dash.js
 // ---------------------------------------------------------------------
 
-fn f5_session() -> SessionLog {
-    let content = drama();
-    let view = dash_view(&content);
-    let policy = DashJsPolicy::new(&view);
-    run_session(
-        &content,
-        PlayerKind::DashJs,
-        Box::new(policy),
-        Trace::constant(BitsPerSec::from_kbps(700)),
-    )
-}
-
 /// Fig 5(a): dash.js independent adaptation at 700 Kbps — undesirable
 /// combinations.
 fn f5a() -> ExperimentResult {
-    let log = f5_session();
+    let log = sole_session("f5a").run();
     let combos_rle = abr_qoe::combos_used(&log);
     let combos: Vec<String> = abr_qoe::distinct_combos(&log)
         .iter()
@@ -1030,7 +986,7 @@ fn f5a() -> ExperimentResult {
 
 /// Fig 5(b): dash.js audio/video buffer imbalance.
 fn f5b() -> ExperimentResult {
-    let log = f5_session();
+    let log = sole_session("f5b").run();
     let a = downsample(&buffer_series(&log, MediaType::Audio), 140);
     let v = downsample(&buffer_series(&log, MediaType::Video), 140);
     let mut text = ascii_plot(
@@ -1072,77 +1028,42 @@ fn f5b() -> ExperimentResult {
 // Best practices (§4) — the paper's future work, evaluated
 // ---------------------------------------------------------------------
 
-/// The BP1 sweep grid — `(trace name, trace, player kind)` in row order.
-/// Shared by the table generator and the traced-session path so both
-/// enumerate exactly the same sessions.
-fn bp1_grid() -> Vec<(&'static str, Trace, PlayerKind)> {
-    let traces: Vec<(&'static str, Trace)> = vec![
-        ("700k fixed", Trace::constant(BitsPerSec::from_kbps(700))),
-        ("900k fixed", Trace::constant(BitsPerSec::from_kbps(900))),
-        ("1M fixed", Trace::constant(BitsPerSec::from_kbps(1000))),
-        (
-            "varying-600k",
-            Trace::fig3_varying_600k(Duration::from_secs(3600)),
-        ),
-    ];
-    let kinds = [
-        PlayerKind::ExoPlayer,
-        PlayerKind::Shaka,
-        PlayerKind::DashJs,
-        PlayerKind::Bba,
-        PlayerKind::Mpc,
-        PlayerKind::BestPractice,
-    ];
-    let mut grid = Vec::new();
-    for (tname, trace) in &traces {
-        for kind in kinds {
-            grid.push((*tname, trace.clone(), kind));
-        }
-    }
-    grid
-}
-
 /// BP1: the four policies over DASH on four traces; QoE table.
 fn bp1(jobs: usize) -> ExperimentResult {
-    let content = drama();
-    let grid = bp1_grid();
-    let logs = runner::run_indexed(grid.len(), jobs, |i| {
-        let (_, trace, kind) = &grid[i];
-        run_session(&content, *kind, dash_policy(*kind, &content), trace.clone())
-    });
+    let sessions = paper_sessions("bp1").expect("bp1 is in the session table");
+    let logs = run_all(&sessions, jobs);
+    let content = &sessions[0].content;
     let allowed = curated_subset(content.video(), content.audio());
     let mut rows = Vec::new();
     let mut jrows = Vec::new();
-    for ((tname, _, _), log) in grid.iter().zip(&logs) {
-        {
-            let tname = *tname;
-            let q = abr_qoe::summarize(log);
-            let off = abr_qoe::off_manifest_chunks(log, &allowed);
-            rows.push(vec![
-                tname.to_string(),
-                q.policy.clone(),
-                format!("{:.2}", q.score),
-                q.stall_count.to_string(),
-                format!("{:.1}", q.total_stall.as_secs_f64()),
-                q.mean_video_kbps.to_string(),
-                q.mean_audio_kbps.to_string(),
-                (q.video_switches + q.audio_switches).to_string(),
-                format!("{:.1}", q.max_imbalance.as_secs_f64()),
-                off.to_string(),
-            ]);
-            jrows.push(json!({
-                "trace": tname,
-                "policy": q.policy,
-                "score": q.score,
-                "stalls": q.stall_count,
-                "total_stall_s": q.total_stall.as_secs_f64(),
-                "mean_video_kbps": q.mean_video_kbps,
-                "mean_audio_kbps": q.mean_audio_kbps,
-                "switches": q.video_switches + q.audio_switches,
-                "max_imbalance_s": q.max_imbalance.as_secs_f64(),
-                "off_curated_chunks": off,
-            }));
-        }
+    for (session, log) in sessions.iter().zip(&logs) {
+        let tname = session.row;
+        let q = abr_qoe::summarize(log);
+        let off = abr_qoe::off_manifest_chunks(log, &allowed);
+        rows.push(vec![
+            tname.to_string(),
+            q.policy.clone(),
+            format!("{:.2}", q.score),
+            q.stall_count.to_string(),
+            format!("{:.1}", q.total_stall.as_secs_f64()),
+            q.mean_video_kbps.to_string(),
+            q.mean_audio_kbps.to_string(),
+            (q.video_switches + q.audio_switches).to_string(),
+            format!("{:.1}", q.max_imbalance.as_secs_f64()),
+            off.to_string(),
+        ]);
+        jrows.push(json!({
+            "trace": tname,
+            "policy": q.policy,
+            "score": q.score,
+            "stalls": q.stall_count,
+            "total_stall_s": q.total_stall.as_secs_f64(),
+            "mean_video_kbps": q.mean_video_kbps,
+            "mean_audio_kbps": q.mean_audio_kbps,
+            "switches": q.video_switches + q.audio_switches,
+            "max_imbalance_s": q.max_imbalance.as_secs_f64(),
+            "off_curated_chunks": off,
+        }));
     }
     let text = table(
         &[
@@ -1646,37 +1567,13 @@ fn m3() -> ExperimentResult {
 /// (DSL, LTE walk, congested HSPA, bus commute, elevator outage, and the
 /// two paper profiles). One row per (profile, policy); the compact score
 /// column is what a regression dashboard would track.
-/// The BP5 sweep grid — every named corpus profile × every policy, in row
-/// order. Shared by the table generator and the traced-session path.
-fn bp5_grid() -> Vec<(&'static str, Trace, PlayerKind)> {
-    let kinds = [
-        PlayerKind::ExoPlayer,
-        PlayerKind::Shaka,
-        PlayerKind::DashJs,
-        PlayerKind::Bba,
-        PlayerKind::Mpc,
-        PlayerKind::BestPractice,
-    ];
-    let mut grid = Vec::new();
-    for (name, trace) in abr_net::corpus::all(Duration::from_secs(3600), SEED) {
-        for kind in kinds {
-            grid.push((name, trace.clone(), kind));
-        }
-    }
-    grid
-}
-
 fn bp5(jobs: usize) -> ExperimentResult {
-    let content = drama();
-    let grid = bp5_grid();
-    let logs = runner::run_indexed(grid.len(), jobs, |i| {
-        let (_, trace, kind) = &grid[i];
-        run_session(&content, *kind, dash_policy(*kind, &content), trace.clone())
-    });
+    let sessions = paper_sessions("bp5").expect("bp5 is in the session table");
+    let logs = run_all(&sessions, jobs);
     let mut rows = Vec::new();
     let mut jrows = Vec::new();
-    for ((name, _, _), log) in grid.iter().zip(&logs) {
-        let name = *name;
+    for (session, log) in sessions.iter().zip(&logs) {
+        let name = session.row;
         let q = abr_qoe::summarize(log);
         rows.push(vec![
             name.to_string(),

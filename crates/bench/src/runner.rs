@@ -1,17 +1,20 @@
 //! Deterministic parallel sweep engine.
 //!
 //! Every multi-session artifact in this repo (the `exp --all` set, the
-//! BP sweeps, `exp mc`, the Criterion groups) is a pure function of its
-//! session specs: content synthesis, traces and policies all seed their
-//! own RNG streams, and the simulated clock never observes the host.
-//! That makes wall-clock parallelism safe *if and only if* two rules hold,
-//! and this module is the one place they are enforced (DESIGN.md §10):
+//! BP sweeps, `exp mc`, `exp fleet`, the Criterion groups) is a pure
+//! function of its item index: content synthesis, traces and policies
+//! all seed their own RNG streams, and the simulated clock never
+//! observes the host. That makes wall-clock parallelism safe *if and only
+//! if* two rules hold, and this module is the one place they are enforced
+//! (DESIGN.md §10):
 //!
-//! 1. **Seed derivation is scheduling-blind.** A session's random stream
-//!    is [`SplitMix64::for_stream`]`(spec.seed, spec.stream)` — a pure
-//!    function of the spec, never of worker identity, pool size or the
-//!    order in which workers claim work.
-//! 2. **Results merge in spec order.** Workers return `(index, outcome)`
+//! 1. **Seed derivation is scheduling-blind.** Whatever randomness a
+//!    session draws comes from its index alone, never from worker
+//!    identity, pool size or the order in which workers claim work: the
+//!    fleet's `PlanSource` draws `SplitMix64::for_stream(seed, i)` for
+//!    session `i`, `exp mc` seeds realization `r` from `SEED + r`, and the
+//!    paper sessions draw no sweep randomness at all.
+//! 2. **Results merge in index order.** Workers return `(index, outcome)`
 //!    through a channel; the pool re-assembles the output vector by index,
 //!    so downstream tables, JSON artifacts and merged metrics are
 //!    byte-identical at any `--jobs` value.
@@ -36,15 +39,13 @@
 //! orders) must produce identical `SessionLog`s, JSON artifacts and
 //! merged metrics.
 
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use abr_event::rng::SplitMix64;
 use abr_event::sync_model::claim_range;
 use abr_obs::metrics::{Histogram, HistogramSnapshot};
 use abr_obs::profile::SPAN_BOUNDS_NS;
-use abr_obs::{HostStopwatch, MetricsSnapshot, ProfileReport, Profiler, TracedEvent};
+use abr_obs::{HostStopwatch, MetricsSnapshot, ProfileReport, TracedEvent};
 use abr_player::SessionLog;
 
 /// Number of cores the host exposes (at least 1).
@@ -448,11 +449,11 @@ where
     ledger
 }
 
-/// Everything a session run sends back across the worker boundary. All
-/// fields are plain owned data (`Send`); nothing here aliases worker
+/// Everything a traced session sends back across the worker boundary.
+/// All fields are plain owned data (`Send`); nothing here aliases worker
 /// state.
 pub struct SessionOutcome {
-    /// The spec's label, `<experiment>/<session>` by convention.
+    /// The session's label, `<experiment>/<session>` by convention.
     pub label: String,
     /// The session's directly-recorded log.
     pub log: SessionLog,
@@ -460,91 +461,6 @@ pub struct SessionOutcome {
     pub events: Vec<TracedEvent>,
     /// The session's private metrics registry, snapshotted.
     pub metrics: MetricsSnapshot,
-}
-
-impl SessionOutcome {
-    /// Wraps the `(log, events, metrics)` triple a
-    /// `run_session_obs`-style runner returns. The label is left empty;
-    /// [`SessionSpec::run`] stamps the spec's own label on, so a job
-    /// closure never has to repeat its spec's identity.
-    pub fn from_obs(parts: (SessionLog, Vec<TracedEvent>, MetricsSnapshot)) -> SessionOutcome {
-        SessionOutcome {
-            label: String::new(),
-            log: parts.0,
-            events: parts.1,
-            metrics: parts.2,
-        }
-    }
-}
-
-/// One session of a sweep: a stable identity (label, seed, stream) plus
-/// the job that realises it. The job receives the spec's derived RNG —
-/// [`SplitMix64::for_stream`]`(seed, stream)` — as its only source of
-/// randomness, so the stream a session sees is fixed at spec-construction
-/// time, not at scheduling time.
-pub struct SessionSpec {
-    /// Human-readable identity, `<experiment>/<session>` by convention.
-    pub label: String,
-    /// Base seed (usually the experiment-wide content seed).
-    pub seed: u64,
-    /// Stable stream index within the sweep (position in the spec list at
-    /// construction time — *not* any runtime ordering).
-    pub stream: u64,
-    /// The job takes the derived RNG plus an optional span profiler. The
-    /// profiler argument is `None` on unprofiled runs and must never
-    /// influence the outcome — profiling observes, artifacts stay
-    /// byte-identical (`tests/profile_determinism.rs`).
-    job: SessionJob,
-}
-
-/// The boxed closure a [`SessionSpec`] realises: derived RNG in, session
-/// outcome out, with an optional span profiler to observe (never steer)
-/// the run.
-type SessionJob =
-    Box<dyn Fn(&mut SplitMix64, Option<&Rc<Profiler>>) -> SessionOutcome + Send + Sync>;
-
-impl SessionSpec {
-    /// A new spec. `stream` must be stable across runs (use the spec's
-    /// position in the authored sweep, or any other value derived from
-    /// the sweep definition alone). Under `--profile` the job receives the
-    /// per-session span profiler to wire into its `ObsHandle`, otherwise
-    /// `None`.
-    pub fn new<F>(label: impl Into<String>, seed: u64, stream: u64, job: F) -> SessionSpec
-    where
-        F: Fn(&mut SplitMix64, Option<&Rc<Profiler>>) -> SessionOutcome + Send + Sync + 'static,
-    {
-        SessionSpec {
-            label: label.into(),
-            seed,
-            stream,
-            job: Box::new(job),
-        }
-    }
-
-    /// The spec's derived RNG stream (order-independent; see
-    /// `crates/event/tests/proptests.rs`).
-    pub fn rng(&self) -> SplitMix64 {
-        SplitMix64::for_stream(self.seed, self.stream)
-    }
-
-    /// Runs the session serially, in the calling thread, with an optional
-    /// span profiler attached. The outcome is the same with or without
-    /// one; its label is stamped from the spec.
-    pub fn run(&self, profiler: Option<&Rc<Profiler>>) -> SessionOutcome {
-        let mut outcome = (self.job)(&mut self.rng(), profiler);
-        outcome.label = self.label.clone();
-        outcome
-    }
-}
-
-impl std::fmt::Debug for SessionSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionSpec")
-            .field("label", &self.label)
-            .field("seed", &self.seed)
-            .field("stream", &self.stream)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Merges per-session metrics snapshots in spec order (the deterministic
@@ -582,7 +498,9 @@ fn static_send_sync_assertions() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abr_obs::Profiler;
     use std::collections::HashSet;
+    use std::rc::Rc;
     use std::sync::Mutex;
 
     #[test]
@@ -649,60 +567,5 @@ mod tests {
         let (out, profile) = run_indexed_profiled(0, 4, None, |_| unreachable!());
         let _: Vec<usize> = out;
         assert_eq!(profile.items, 0);
-    }
-
-    #[test]
-    fn spec_run_profiled_equals_run() {
-        fn empty_log(policy: String) -> SessionLog {
-            SessionLog {
-                policy,
-                selections: Vec::new(),
-                transfers: Vec::new(),
-                buffer_samples: Vec::new(),
-                stalls: Vec::new(),
-                playlist_fetches: Vec::new(),
-                seeks: Vec::new(),
-                startup_at: None,
-                ended_at: None,
-                finished_at: abr_event::time::Instant::ZERO,
-                chunk_duration: abr_event::time::Duration::from_secs(4),
-                num_chunks: 0,
-            }
-        }
-        let spec = SessionSpec::new("p/x", 2019, 3, |rng, prof| {
-            if let Some(p) = prof {
-                let _g = p.span("job");
-            }
-            SessionOutcome::from_obs((
-                empty_log(format!("rng:{}", rng.next_u64())),
-                Vec::new(),
-                MetricsSnapshot::default(),
-            ))
-        });
-        let plain = spec.run(None);
-        let profiler = Rc::new(Profiler::new());
-        let profiled = spec.run(Some(&profiler));
-        // Same derived RNG, same outcome, profiler only observed.
-        assert_eq!(plain.log.policy, profiled.log.policy);
-        assert_eq!(plain.label, profiled.label);
-        assert_eq!(profiler.report().roots[0].name, "job");
-    }
-
-    #[test]
-    fn spec_rng_ignores_execution_order() {
-        let mk = |stream: u64| {
-            SessionSpec::new(
-                format!("s{stream}"),
-                2019,
-                stream,
-                |_rng, _prof| unreachable!(),
-            )
-        };
-        let forward: Vec<u64> = (0..8).map(|s| mk(s).rng().next_u64()).collect();
-        let backward: Vec<u64> = (0..8).rev().map(|s| mk(s).rng().next_u64()).collect();
-        let reversed: Vec<u64> = backward.into_iter().rev().collect();
-        assert_eq!(forward, reversed);
-        // Sibling streams are distinct.
-        assert_eq!(forward.iter().collect::<HashSet<_>>().len(), forward.len());
     }
 }

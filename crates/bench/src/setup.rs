@@ -8,7 +8,7 @@
 use abr_core::{
     BbaPolicy, BestPracticePolicy, DashJsPolicy, ExoPlayerPolicy, MpcPolicy, ShakaPolicy,
 };
-use abr_event::time::{Duration, Instant};
+use abr_event::time::Duration;
 use abr_httpsim::origin::Origin;
 use abr_manifest::build::{build_master_playlist, build_mpd};
 use abr_manifest::hls::MasterPlaylist;
@@ -134,31 +134,16 @@ pub fn run_session(
     policy: Box<dyn AbrPolicy>,
     trace: Trace,
 ) -> SessionLog {
-    run_session_with_obs(content, kind, policy, trace, ObsHandle::disabled())
+    session_for(content, kind, policy, trace).run()
 }
 
-/// [`run_session`] with an explicit [`ObsHandle`]. A disabled handle is
-/// exactly what a bare `Session` starts with, so `run_session` and this
-/// function are the same code path; `exp mc --profile`
-/// passes a handle that carries only a span profiler, which observes
-/// host time and never touches the log (the byte-identity the
-/// `profile_determinism` suite pins).
-pub fn run_session_with_obs(
-    content: &SharedContent,
-    kind: PlayerKind,
-    policy: Box<dyn AbrPolicy>,
-    trace: Trace,
-    obs: ObsHandle,
-) -> SessionLog {
-    session_for(content, kind, policy, trace)
-        .with_obs(obs)
-        .run()
-}
-
-/// [`run_session_with_obs`] building the log's event vectors out of a
-/// worker-local [`abr_player::SessionScratch`] pool — the sweep hot path.
-/// Logs are byte-identical to the unpooled runner; hand the log back to
-/// [`abr_player::SessionScratch::reclaim`] once summarized.
+/// [`run_session`] with an explicit [`ObsHandle`], building the log's
+/// event vectors out of a worker-local [`abr_player::SessionScratch`]
+/// pool — the sweep hot path. `exp mc --profile` passes a handle that
+/// carries only a span profiler, which observes host time and never
+/// touches the log. Logs are byte-identical to the unpooled runner; hand
+/// the log back to [`abr_player::SessionScratch::reclaim`] once
+/// summarized.
 pub fn run_session_pooled(
     content: &SharedContent,
     kind: PlayerKind,
@@ -324,12 +309,6 @@ pub fn stall_windows(log: &SessionLog) -> Vec<(f64, f64)> {
             )
         })
         .collect()
-}
-
-/// A generous deadline for pathological sessions (keeps starved runs
-/// bounded while letting heavy rebuffering play out).
-pub fn far_deadline() -> Instant {
-    Instant::from_secs(3_600)
 }
 
 #[cfg(test)]

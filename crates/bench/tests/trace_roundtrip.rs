@@ -3,29 +3,29 @@
 //! This is the end-to-end contract the observability layer makes: the
 //! trace is not a lossy narration of the session — it *is* the session.
 
-use abr_bench::experiments::traced_session;
-use abr_bench::setup::{drama, hls_all_view, run_session_obs, PlayerKind};
-use abr_core::ShakaPolicy;
-use abr_event::time::Duration;
-use abr_media::units::BitsPerSec;
-use abr_net::trace::Trace;
+use abr_bench::experiments::{all_ids, traced_sessions};
+use abr_bench::runner::SessionOutcome;
 use abr_obs::export::{from_jsonl, to_jsonl};
 use abr_obs::Event;
 use abr_player::SessionLog;
+
+/// The traced outcome of a one-session figure, as `exp --id <id>
+/// --trace` produces it.
+fn sole_outcome(id: &str) -> SessionOutcome {
+    let mut outcomes = traced_sessions(id, 1).expect("traceable experiment");
+    assert_eq!(outcomes.len(), 1, "{id} is a one-session figure");
+    outcomes.remove(0)
+}
 
 /// The Fig 4(b) Shaka session — dynamic trace, stalls, estimate movement —
 /// traced, exported, re-parsed, reconstructed, compared field for field.
 #[test]
 fn traced_f4b_replay_equals_direct_log() {
-    let content = drama();
-    let view = hls_all_view(&content);
-    let policy = ShakaPolicy::hls(&view);
-    let (direct, events, _metrics) = run_session_obs(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(policy),
-        Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-    );
+    let SessionOutcome {
+        log: direct,
+        events,
+        ..
+    } = sole_outcome("f4b");
 
     // The session must actually have exercised the interesting machinery,
     // or the equality below proves nothing.
@@ -44,37 +44,49 @@ fn traced_f4b_replay_equals_direct_log() {
     );
 }
 
-/// The same equality through the `exp` runner's hook, for the dash.js
+/// The same equality through the `exp --trace` path, for the dash.js
 /// session (independent audio/video pipelines — a different event
 /// interleaving than Shaka's).
 #[test]
-fn traced_session_hook_replay_equals_direct_log() {
-    let (direct, events, _metrics) = traced_session("f5a").expect("f5a has one session");
-    let replayed =
-        SessionLog::from_trace(&from_jsonl(&to_jsonl(&events)).unwrap()).expect("reconstructs");
-    assert_eq!(replayed, direct);
+fn traced_f5a_replay_equals_its_log() {
+    let outcome = sole_outcome("f5a");
+    let replayed = SessionLog::from_trace(&from_jsonl(&to_jsonl(&outcome.events)).unwrap())
+        .expect("reconstructs");
+    assert_eq!(replayed, outcome.log);
 }
 
-/// Sweep experiments have no single canonical session to trace.
+/// Exactly the pure tables and the experiments that build their sessions
+/// outside the session table (or share state across them) have nothing
+/// to trace; so has an unknown id. Every other experiment traces.
 #[test]
-fn sweeps_have_no_traced_session() {
-    for id in ["t1", "bp1", "bp5", "m1", "nope"] {
-        assert!(traced_session(id).is_none(), "{id} should not trace");
+fn untraceable_set_is_pinned() {
+    const UNTRACEABLE: [&str; 10] = [
+        "t1", "t2", "t3", "f4x", "bp2", "bp3", "bp4", "m1", "m2", "m3",
+    ];
+    for id in all_ids() {
+        let traced = traced_sessions(id, 2);
+        if UNTRACEABLE.contains(&id) {
+            assert!(traced.is_none(), "{id} should not trace");
+        } else {
+            assert!(traced.is_some_and(|o| !o.is_empty()), "{id} should trace");
+        }
+    }
+    for id in ["nope", ""] {
+        assert!(traced_sessions(id, 1).is_none(), "`{id}` should not trace");
     }
 }
 
 /// The metrics registry riding along with the trace carries the link and
-/// policy counters the session actually exercised.
+/// policy counters the session actually exercised (Fig 4(a): Shaka at a
+/// fixed 1 Mbps).
 #[test]
 fn metrics_ride_along_with_the_trace() {
-    let content = drama();
-    let view = hls_all_view(&content);
-    let (log, events, metrics) = run_session_obs(
-        &content,
-        PlayerKind::Shaka,
-        Box::new(ShakaPolicy::hls(&view)),
-        Trace::constant(BitsPerSec::from_kbps(1000)),
-    );
+    let SessionOutcome {
+        log,
+        events,
+        metrics,
+        ..
+    } = sole_outcome("f4a");
     let completed = *metrics
         .counters
         .get("link.flows_completed")

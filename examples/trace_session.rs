@@ -1,4 +1,4 @@
-//! Trace a session: re-run the Fig 4(b) Shaka scenario with the
+//! Trace a session: re-run the Fig 4(b) Shaka session with the
 //! observability layer attached, write the event stream to
 //! `results/f4b.trace.jsonl`, and print the busiest metrics.
 //!
@@ -6,71 +6,38 @@
 //! cargo run --example trace_session
 //! ```
 //!
-//! This writes byte-for-byte what `exp --id f4b --trace
-//! results/f4b.trace.jsonl` writes — the checked-in golden that
-//! `tests/golden_artifacts.rs` pins. Observation is *deterministic*
+//! The session is the Fig 4(b) entry of the experiments' session table,
+//! taken through `abr_bench::experiments::traced_sessions` — the same
+//! session the figure summarizes and `exp --id f4b --trace
+//! results/f4b.trace.jsonl` writes, byte for byte: the checked-in golden
+//! that `tests/golden_artifacts.rs` pins. Observation is *deterministic*
 //! (`ObsHandle::deterministic_recording`): `wall_ns` stamps are 0 and
 //! host-clock histograms are off, so the trace is a pure function of the
-//! session (DESIGN.md §10). Swap in `ObsHandle::recording()` to profile
-//! with real wall-clock stamps instead.
+//! session (DESIGN.md §10). Wire `ObsHandle::recording()` into a
+//! `Session` by hand to profile with real wall-clock stamps instead.
 //!
 //! The emitted JSONL is lossless: `SessionLog::from_trace` rebuilds the
 //! full session history from it (the `trace_roundtrip` integration test
 //! in `abr-bench` holds that equality). Convert the same events with
 //! `obs::export::to_chrome_trace` to open the session in Perfetto.
 
-use abr_unmuxed::core::ShakaPolicy;
-use abr_unmuxed::event::time::Duration;
-use abr_unmuxed::httpsim::origin::Origin;
-use abr_unmuxed::manifest::build::build_master_playlist;
-use abr_unmuxed::manifest::hls::MasterPlaylist;
-use abr_unmuxed::manifest::view::BoundHls;
-use abr_unmuxed::media::combo::all_combos;
-use abr_unmuxed::media::content::Content;
-use abr_unmuxed::media::units::Bytes;
-use abr_unmuxed::net::link::Link;
-use abr_unmuxed::net::trace::Trace;
-use abr_unmuxed::obs::{export, ObsHandle};
-use abr_unmuxed::player::config::SyncMode;
-use abr_unmuxed::player::{PlayerConfig, Session, SessionLog};
+use abr_bench::experiments::traced_sessions;
+use abr_unmuxed::obs::export;
+use abr_unmuxed::player::SessionLog;
 
 fn main() {
     // The Fig 4(b) setup: Shaka over H_all, dynamic mean-600 Kbps trace.
-    // The playlist is round-tripped through its textual form, exactly as
-    // the experiment harness does.
-    let content = Content::drama_show(2019);
-    let combos = all_combos(content.video(), content.audio());
-    let text = build_master_playlist(&content, &combos, &[0, 1, 2]).to_text();
-    let view = BoundHls::from_master(&MasterPlaylist::parse(&text).expect("parses"))
-        .expect("self-built playlist binds");
-    let policy = ShakaPolicy::hls(&view);
-
-    // Attach a deterministic recording tracer + metrics registry and run.
-    let (obs, tracer, metrics) = ObsHandle::deterministic_recording();
-    let origin = Origin::with_overhead(content.clone(), Bytes::ZERO);
-    let link = Link::with_latency(
-        Trace::fig4b_varying_600k(Duration::from_secs(3600)),
-        Duration::from_millis(20),
-    );
-    // Shaka's defaults: shallow 10 s buffering goal, independent
-    // pipelines (`abr_bench::setup::player_config`).
-    let chunk = content.chunk_duration();
-    let config = PlayerConfig {
-        startup_threshold: chunk,
-        resume_threshold: chunk,
-        max_buffer: Duration::from_secs(10),
-        sync: SyncMode::Independent,
-    };
-    let log = Session::new(origin, link, Box::new(policy), config)
-        .with_obs(obs)
-        .run();
+    let outcome = traced_sessions("f4b", 1)
+        .expect("f4b is traceable")
+        .pop()
+        .expect("f4b has one session");
+    let (log, events) = (&outcome.log, &outcome.events);
 
     // Export the trace and prove it reconstructs the session exactly.
-    let events = tracer.take();
-    let jsonl = export::to_jsonl(&events);
+    let jsonl = export::to_jsonl(events);
     let replayed = SessionLog::from_trace(&export::from_jsonl(&jsonl).expect("parses"))
         .expect("trace reconstructs the session");
-    assert_eq!(replayed, log, "the trace is the session");
+    assert_eq!(&replayed, log, "the trace is the session");
 
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/f4b.trace.jsonl", &jsonl).expect("write trace");
@@ -87,7 +54,7 @@ fn main() {
 
     // The five busiest metrics, by the registry's own display rows.
     println!("\ntop metrics:");
-    for (name, value) in metrics.snapshot().rows().into_iter().take(5) {
+    for (name, value) in outcome.metrics.rows().into_iter().take(5) {
         println!("  {name:<26} {value}");
     }
 }
