@@ -333,7 +333,8 @@ fn run_sched_inner(
 
 /// [`run_fleet`] with the self-profiling layer on (`exp fleet --profile`):
 /// phase-level host-time accounting — plan realization, the windowed
-/// driver, report rendering — in the standard [`WorkloadProfile`] shape.
+/// driver, report rendering — in the standard
+/// [`WorkloadProfile`](crate::profiling::WorkloadProfile) shape.
 /// Profiling observes host time only; the returned [`FleetResult`] is
 /// byte-identical to [`run_fleet`] at the same `(spec, jobs)`.
 #[must_use]

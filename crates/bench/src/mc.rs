@@ -11,7 +11,7 @@
 //! then corpus order, then policy order) and sharded with
 //! [`runner::run_indexed`], so the aggregate is byte-identical at every
 //! `--jobs` value. Per-seed realizations derive from the experiment-wide
-//! [`SEED`] by offset, never from host state.
+//! [`SEED`](crate::setup::SEED) by offset, never from host state.
 
 use std::rc::Rc;
 

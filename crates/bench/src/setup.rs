@@ -161,7 +161,7 @@ pub fn run_session_pooled(
 /// content handle into a zero-overhead origin (keeps the byte arithmetic
 /// aligned with the paper's bitrate tables), 20 ms link latency, `kind`'s
 /// player configuration.
-fn session_for(
+pub fn session_for(
     content: &SharedContent,
     kind: PlayerKind,
     policy: Box<dyn AbrPolicy>,

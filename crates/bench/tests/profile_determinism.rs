@@ -12,15 +12,19 @@
 //! * The profile itself is useful: it names the hot dispatch/fetch/link
 //!   spans and attributes ≥ 95% of measured session wall time to named
 //!   spans (the ISSUE acceptance bar).
+//! * The span counts pin the stepper's single candidate pass per event:
+//!   a stepped session computes as many candidate sets as `Session::run`.
 
 use std::rc::Rc;
 
 use abr_bench::mc::{run_mc, run_mc_profiled};
-use abr_bench::setup::{drama, run_session_obs, run_session_obs_profiled, PlayerKind};
+use abr_bench::setup::{
+    dash_policy, drama, run_session_obs, run_session_obs_profiled, session_for, PlayerKind,
+};
 use abr_core::bestpractice::BestPracticePolicy;
 use abr_event::time::Duration;
 use abr_net::trace::Trace;
-use abr_obs::Profiler;
+use abr_obs::{ObsHandle, ProfileReport, Profiler};
 
 #[test]
 fn mc_sweep_is_byte_identical_with_profiling_on() {
@@ -148,4 +152,68 @@ fn profile_names_hot_spans_and_attributes_wall_time() {
     let json = profile.json();
     assert_eq!(json["format"], "abr-profile-v1");
     assert!(json["attributed"].as_f64().unwrap() >= 0.95);
+}
+
+/// Closed `engine.arm_wakes` spans anywhere in the tree: one per
+/// computation of an event's candidates.
+fn candidate_passes(report: &ProfileReport) -> u64 {
+    report
+        .flatten()
+        .iter()
+        .filter(|(_, _, node)| node.name == "engine.arm_wakes")
+        .map(|(_, _, node)| node.count)
+        .sum()
+}
+
+/// The stepper computes each event's candidates once, as `Session::run`
+/// does, although the fleet asks `next_wake` and then `dispatch_next`
+/// for every event. For one session per player kind, a profiled stepped
+/// run records exactly as many `engine.arm_wakes` spans as a profiled
+/// `run`, and the two return byte-identical logs and event streams.
+#[test]
+fn stepper_computes_candidates_once_per_event() {
+    let content = drama();
+    for kind in [
+        PlayerKind::ExoPlayer,
+        PlayerKind::Shaka,
+        PlayerKind::DashJs,
+        PlayerKind::BestPractice,
+        PlayerKind::Bba,
+        PlayerKind::Mpc,
+    ] {
+        let profiled = || {
+            let profiler = Rc::new(Profiler::new());
+            let (obs, tracer, _) = ObsHandle::deterministic_recording();
+            let trace = Trace::fig4b_varying_600k(Duration::from_secs(600));
+            let session = session_for(&content, kind, dash_policy(kind, &content), trace)
+                .with_obs(obs.with_profiler(Rc::clone(&profiler)));
+            (session, tracer, profiler)
+        };
+        let (session, run_tracer, run_profiler) = profiled();
+        let run_log = session.run();
+        let (session, step_tracer, step_profiler) = profiled();
+        let mut stepper = session.into_stepper();
+        while stepper.next_wake().is_some() {
+            if !stepper.dispatch_next() {
+                break;
+            }
+        }
+        let step_log = stepper.finish();
+        assert_eq!(
+            format!("{run_log:?}"),
+            format!("{step_log:?}"),
+            "{kind:?}: stepped log differs from Session::run"
+        );
+        assert!(
+            run_tracer.take() == step_tracer.take(),
+            "{kind:?}: stepped event stream differs from Session::run"
+        );
+        let run_passes = candidate_passes(&run_profiler.report());
+        assert!(run_passes > 100, "{kind:?}: only {run_passes} events");
+        assert_eq!(
+            candidate_passes(&step_profiler.report()),
+            run_passes,
+            "{kind:?}: the stepper computed candidates more than once per event"
+        );
+    }
 }

@@ -1,22 +1,35 @@
 //! LRU CDN cache.
 //!
 //! Models an edge cache between clients and the origin, keyed by
-//! `(object, exact range)`. Used by the §1 motivation experiment: with
-//! demuxed tracks, user B's request for video variant V1 hits the cache
-//! warmed by user A even though their audio choices differ; with muxed
-//! packaging every (V, A) pairing is a distinct object and misses.
+//! `(namespace, object, exact range)`. Used by the §1 motivation
+//! experiment: with demuxed tracks, user B's request for video variant V1
+//! hits the cache warmed by user A even though their audio choices
+//! differ; with muxed packaging every (V, A) pairing is a distinct object
+//! and misses.
+//!
+//! Every request of a fleet is a whole-object segment — one chunk of one
+//! demuxed track or of one muxed combination — so those keys never touch
+//! an ordered map: they index a dense slot table by (namespace, track or
+//! combination, chunk), one block per namespace sized from the title's
+//! content. Looking one up is a bounds check and an index. Only the keys
+//! the table cannot address — documents, whole track files and byte
+//! ranges — go through a keyed `BTreeMap`.
 //!
 //! Recency is an intrusive doubly linked list whose nodes live in an
 //! [`Arena`]: a hit moves its node to the head, a miss inserts at the
-//! head, and eviction pops the tail. Every step is O(1) besides the one
-//! entry-table lookup, so a miss never scans the resident entries. The
-//! tail is exactly the least recently touched entry, so the victim
-//! sequence is a pure function of the request sequence (DESIGN.md §10).
+//! head, and eviction pops the tail and clears the tail's slot or map
+//! entry. Every step is O(1) besides a keyed-map lookup, so a miss never
+//! scans the resident entries. The tail is exactly the least recently
+//! touched entry, so the victim sequence is a pure function of the
+//! request sequence (DESIGN.md §10).
 
 use crate::origin::{HttpError, Origin};
 use crate::request::{ObjectId, Request};
 use abr_event::arena::{Arena, SlotId};
 use abr_event::time::Instant;
+use abr_media::combo::Combo;
+use abr_media::content::Content;
+use abr_media::track::{MediaType, TrackId};
 use abr_media::units::Bytes;
 use abr_obs::{Event, ObsHandle};
 use std::collections::BTreeMap;
@@ -54,11 +67,219 @@ impl CacheStats {
 /// chunk 0); single-title callers use namespace 0 throughout.
 type CacheKey = (u64, ObjectId, Option<(u64, u64)>);
 
+/// Namespaces at or above this bound file their segments in the keyed
+/// map: the slot table holds one block per namespace up to the largest
+/// it has seen, and fleet namespaces are catalog title indices.
+const DENSE_NAMESPACES: u64 = 1 << 12;
+
+/// What a resident entry is filed under.
+#[derive(Debug)]
+enum EntryKey {
+    /// A slot of the dense segment table.
+    Segment(SegmentKey),
+    /// An entry of the keyed map.
+    Keyed(CacheKey),
+}
+
+impl EntryKey {
+    fn of(req: &Request, namespace: u64) -> EntryKey {
+        match SegmentKey::of(req, namespace) {
+            Some(key) => EntryKey::Segment(key),
+            None => {
+                let (object, range) = req.cache_key();
+                EntryKey::Keyed((namespace, object, range))
+            }
+        }
+    }
+}
+
+/// A whole-object segment under a namespace: a key the slot table
+/// addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SegmentKey {
+    namespace: usize,
+    stream: Stream,
+    chunk: usize,
+}
+
+/// The segment sequence a chunk belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stream {
+    /// One demuxed track.
+    Track(TrackId),
+    /// One muxed (video, audio) combination.
+    Muxed(Combo),
+}
+
+impl SegmentKey {
+    /// The table key for `req`, or `None` for a document, a whole track
+    /// file, a byte range, or a namespace at or above
+    /// [`DENSE_NAMESPACES`].
+    fn of(req: &Request, namespace: u64) -> Option<SegmentKey> {
+        if req.range.is_some() || namespace >= DENSE_NAMESPACES {
+            return None;
+        }
+        let (stream, chunk) = match req.object {
+            ObjectId::Segment { track, chunk } => (Stream::Track(track), chunk),
+            ObjectId::MuxedSegment { combo, chunk } => (Stream::Muxed(combo), chunk),
+            ObjectId::TrackFile { .. } | ObjectId::Document { .. } => return None,
+        };
+        Some(SegmentKey {
+            namespace: namespace as usize,
+            stream,
+            chunk,
+        })
+    }
+}
+
+/// The layout of one namespace's block: rows of `chunks` slots, audio
+/// rungs first, then video rungs, then muxed combinations video-major.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Extent {
+    audio: usize,
+    video: usize,
+    muxed_video: usize,
+    muxed_audio: usize,
+    chunks: usize,
+}
+
+impl Extent {
+    fn len(self) -> usize {
+        (self.audio + self.video + self.muxed_video * self.muxed_audio) * self.chunks
+    }
+
+    /// The slot of `(stream, chunk)`, or `None` outside this extent.
+    fn slot(self, stream: Stream, chunk: usize) -> Option<usize> {
+        let row = match stream {
+            Stream::Track(t) => match t.media {
+                MediaType::Audio if t.index < self.audio => t.index,
+                MediaType::Video if t.index < self.video => self.audio + t.index,
+                _ => return None,
+            },
+            Stream::Muxed(c) if c.video < self.muxed_video && c.audio < self.muxed_audio => {
+                self.audio + self.video + c.video * self.muxed_audio + c.audio
+            }
+            Stream::Muxed(_) => return None,
+        };
+        (chunk < self.chunks).then_some(row * self.chunks + chunk)
+    }
+
+    /// The `(stream, chunk)` filed at `slot`: the inverse of
+    /// [`Extent::slot`].
+    fn key_at(self, slot: usize) -> (Stream, usize) {
+        let (row, chunk) = (slot / self.chunks, slot % self.chunks);
+        let stream = if row < self.audio {
+            Stream::Track(TrackId::audio(row))
+        } else if row < self.audio + self.video {
+            Stream::Track(TrackId::video(row - self.audio))
+        } else {
+            let m = row - self.audio - self.video;
+            Stream::Muxed(Combo::new(m / self.muxed_audio, m % self.muxed_audio))
+        };
+        (stream, chunk)
+    }
+
+    /// This extent widened to every chunk of `content` and to all of its
+    /// tracks (for a track) or combinations (for a combination).
+    fn covering(self, stream: Stream, content: &Content) -> Extent {
+        let (audio, video) = (content.audio().len(), content.video().len());
+        let mut e = self;
+        e.chunks = e.chunks.max(content.num_chunks());
+        match stream {
+            Stream::Track(_) => {
+                e.audio = e.audio.max(audio);
+                e.video = e.video.max(video);
+            }
+            Stream::Muxed(_) => {
+                e.muxed_audio = e.muxed_audio.max(audio);
+                e.muxed_video = e.muxed_video.max(video);
+            }
+        }
+        e
+    }
+}
+
+/// One namespace's slots.
+#[derive(Debug, Default)]
+struct Block {
+    extent: Extent,
+    slots: Vec<Option<SlotId>>,
+}
+
+impl Block {
+    /// Lays the block out again at `extent`, which covers the current one.
+    fn widen(&mut self, extent: Extent) {
+        let mut slots = vec![None; extent.len()];
+        for (i, id) in self.slots.iter().enumerate() {
+            if let Some(id) = id {
+                let (stream, chunk) = self.extent.key_at(i);
+                let slot = extent
+                    .slot(stream, chunk)
+                    .expect("widening keeps every slot");
+                slots[slot] = Some(*id);
+            }
+        }
+        self.extent = extent;
+        self.slots = slots;
+    }
+}
+
+/// The dense slot table for whole-object segments: one block per
+/// namespace, sized from the content of its first miss and widened when a
+/// larger title files under the same namespace.
+#[derive(Debug, Default)]
+struct SegmentTable {
+    blocks: Vec<Block>,
+    /// Filled slots over all blocks.
+    filled: usize,
+}
+
+impl SegmentTable {
+    fn get(&self, key: &SegmentKey) -> Option<SlotId> {
+        let block = self.blocks.get(key.namespace)?;
+        block.slots[block.extent.slot(key.stream, key.chunk)?]
+    }
+
+    /// Files `id` under `key`, a key `content` serves.
+    fn insert(&mut self, key: &SegmentKey, id: SlotId, content: &Content) {
+        if key.namespace >= self.blocks.len() {
+            self.blocks.resize_with(key.namespace + 1, Block::default);
+        }
+        let block = &mut self.blocks[key.namespace];
+        let slot = match block.extent.slot(key.stream, key.chunk) {
+            Some(slot) => slot,
+            None => {
+                block.widen(block.extent.covering(key.stream, content));
+                block
+                    .extent
+                    .slot(key.stream, key.chunk)
+                    .expect("a served key lies within its content")
+            }
+        };
+        #[cfg(feature = "debug-invariants")]
+        debug_assert!(block.slots[slot].is_none(), "slot already filled");
+        block.slots[slot] = Some(id);
+        self.filled += 1;
+    }
+
+    /// Clears the slot of the evicted entry `id`.
+    fn remove(&mut self, key: &SegmentKey, id: SlotId) {
+        let block = &mut self.blocks[key.namespace];
+        let slot = block
+            .extent
+            .slot(key.stream, key.chunk)
+            .expect("a resident key has a slot");
+        let cleared = block.slots[slot].take();
+        assert_eq!(cleared, Some(id), "evicted slot held another entry");
+        self.filled -= 1;
+    }
+}
+
 /// One resident entry: a node of the recency list. `prev` points toward
 /// the head (more recently touched), `next` toward the tail.
 #[derive(Debug)]
 struct Node {
-    key: CacheKey,
+    key: EntryKey,
     size: Bytes,
     prev: Option<SlotId>,
     next: Option<SlotId>,
@@ -71,9 +292,11 @@ struct Node {
 pub struct CdnCache {
     capacity: Bytes,
     used: Bytes,
-    /// Keyed by `(namespace, object, range)`; only ever looked up, never
-    /// iterated. A `BTreeMap` so no hashed container can leak an order
-    /// into the cache's behavior (ABR-L001).
+    /// Whole-object segments, by slot.
+    segments: SegmentTable,
+    /// Every other key, by `(namespace, object, range)`; only ever looked
+    /// up, never iterated. A `BTreeMap` so no hashed container can leak
+    /// an order into the cache's behavior (ABR-L001).
     entries: BTreeMap<CacheKey, SlotId>,
     /// The recency list's nodes, one per entry.
     nodes: Arena<Node>,
@@ -92,6 +315,7 @@ impl CdnCache {
         CdnCache {
             capacity,
             used: Bytes::ZERO,
+            segments: SegmentTable::default(),
             entries: BTreeMap::new(),
             nodes: Arena::new(),
             head: None,
@@ -138,9 +362,12 @@ impl CdnCache {
         namespace: u64,
         now: Instant,
     ) -> Result<(bool, Bytes), HttpError> {
-        let (object, range) = req.cache_key();
-        let key = (namespace, object, range);
-        if let Some(&id) = self.entries.get(&key) {
+        let key = EntryKey::of(req, namespace);
+        let found = match &key {
+            EntryKey::Segment(k) => self.segments.get(k),
+            EntryKey::Keyed(k) => self.entries.get(k).copied(),
+        };
+        if let Some(id) = found {
             self.unlink(id);
             self.push_front(id);
             let size = self.node(id).size;
@@ -158,13 +385,18 @@ impl CdnCache {
             }
             self.used += size;
             let id = self.nodes.insert(Node {
-                key: key.clone(),
+                key,
                 size,
                 prev: None,
                 next: None,
             });
             self.push_front(id);
-            self.entries.insert(key, id);
+            match &self.nodes.get(id).expect("just inserted").key {
+                EntryKey::Segment(k) => self.segments.insert(k, id, origin.content()),
+                EntryKey::Keyed(k) => {
+                    self.entries.insert(k.clone(), id);
+                }
+            }
             self.check_list();
         }
         self.record_lookup(req, now, false, size);
@@ -183,14 +415,19 @@ impl CdnCache {
         });
     }
 
-    /// Pops the list tail and drops its entry.
+    /// Pops the list tail and clears its slot or map entry.
     fn evict_lru(&mut self) {
         let id = self.tail.expect("evict on non-empty cache");
         self.unlink(id);
         let node = self.nodes.remove(id).expect("tail is a live node");
-        self.entries
-            .remove(&node.key)
-            .expect("evicted key is in the entry table");
+        match &node.key {
+            EntryKey::Segment(k) => self.segments.remove(k, id),
+            EntryKey::Keyed(k) => {
+                self.entries
+                    .remove(k)
+                    .expect("evicted key is in the entry table");
+            }
+        }
         #[cfg(feature = "debug-invariants")]
         debug_assert!(node.next.is_none(), "evicted node has a successor");
         self.used -= node.size;
@@ -233,19 +470,20 @@ impl CdnCache {
         self.head = Some(id);
     }
 
-    /// O(1) witness that the entry table and the recency list agree
-    /// (DESIGN.md §12): one node per entry, and empty ends exactly when
-    /// the cache is empty. No list walk, so debug runs stay O(1) too.
+    /// O(1) witness that the key tables and the recency list agree
+    /// (DESIGN.md §12): one node per filled slot or map entry, and empty
+    /// ends exactly when the cache is empty. No list walk, so debug runs
+    /// stay O(1) too.
     fn check_list(&self) {
         #[cfg(feature = "debug-invariants")]
         {
             debug_assert_eq!(
                 self.nodes.len(),
-                self.entries.len(),
-                "recency list and entry table disagree"
+                self.segments.filled + self.entries.len(),
+                "recency list and key tables disagree"
             );
-            debug_assert_eq!(self.head.is_none(), self.entries.is_empty());
-            debug_assert_eq!(self.tail.is_none(), self.entries.is_empty());
+            debug_assert_eq!(self.head.is_none(), self.nodes.is_empty());
+            debug_assert_eq!(self.tail.is_none(), self.nodes.is_empty());
         }
     }
 
@@ -261,21 +499,18 @@ impl CdnCache {
 
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.nodes.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abr_media::combo::Combo;
-    use abr_media::content::Content;
-    use abr_media::track::TrackId;
 
     fn setup() -> (Origin, CdnCache) {
         let origin = Origin::with_overhead(Content::drama_show(1), Bytes::ZERO);
@@ -452,6 +687,65 @@ mod tests {
         let (hit, _) = c.fetch(&o, &r0).unwrap();
         assert!(hit);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn segment_blocks_widen_and_keep_their_entries() {
+        use abr_event::time::Duration;
+        use abr_media::ladder::Ladder;
+        let (big, mut c) = setup(); // 6 video, 3 audio, 75 chunks
+        let video = Ladder::new(
+            MediaType::Video,
+            Ladder::table1_video().iter().take(4).cloned().collect(),
+        );
+        let audio = Ladder::new(
+            MediaType::Audio,
+            Ladder::table1_audio().iter().take(2).cloned().collect(),
+        );
+        let small = Origin::with_overhead(
+            Content::new(video, audio, Duration::from_secs(4), 90, 1),
+            Bytes::ZERO,
+        );
+        let late = Origin::segment_request(TrackId::video(3), 89);
+        let top = Origin::segment_request(TrackId::video(5), 0);
+        let muxed = Request::whole(ObjectId::MuxedSegment {
+            combo: Combo::new(5, 2),
+            chunk: 74,
+        });
+        let fetch = |c: &mut CdnCache, o: &Origin, req: &Request| {
+            c.fetch_keyed(o, req, 3, Instant::ZERO).unwrap().0
+        };
+        // The first miss sizes namespace 3's block from the small title;
+        // the big title's top rung and a muxed combination widen it.
+        assert!(!fetch(&mut c, &small, &late));
+        assert_eq!(c.segments.blocks[3].extent.video, 4);
+        assert!(!fetch(&mut c, &big, &top));
+        assert!(!fetch(&mut c, &big, &muxed));
+        let extent = c.segments.blocks[3].extent;
+        assert_eq!((extent.audio, extent.video, extent.chunks), (3, 6, 90));
+        assert_eq!((extent.muxed_video, extent.muxed_audio), (6, 3));
+        for req in [&late, &top, &muxed] {
+            assert!(fetch(&mut c, &big, req), "{req} survived widening");
+        }
+        // A past-the-end request errors without growing the block, and a
+        // namespace beyond the table goes through the keyed map.
+        let past = Origin::segment_request(TrackId::video(0), 90);
+        assert!(c.fetch_keyed(&small, &past, 3, Instant::ZERO).is_err());
+        assert_eq!(c.segments.blocks[3].extent, extent);
+        assert!(
+            !c.fetch_keyed(&big, &top, u64::MAX, Instant::ZERO)
+                .unwrap()
+                .0
+        );
+        assert!(
+            c.fetch_keyed(&big, &top, u64::MAX, Instant::ZERO)
+                .unwrap()
+                .0
+        );
+        assert_eq!(
+            (c.segments.blocks.len(), c.entries.len(), c.len()),
+            (4, 1, 4)
+        );
     }
 
     #[test]

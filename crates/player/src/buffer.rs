@@ -3,6 +3,14 @@
 //! A buffer holds downloaded-but-unplayed chunks for one media type and is
 //! measured in *seconds of content* — the unit the paper's balance argument
 //! (§4.2) uses. Playback drains both media buffers in lockstep.
+//!
+//! The engine asks for both levels many times per event, so the level is
+//! O(1): the buffer keeps the running sum of its queued chunk durations,
+//! updated on push, on each popped head chunk and on a flush, and the
+//! level is that sum minus what the head has already played. Durations
+//! are integer microseconds, so the running sum equals a walk of the
+//! queue exactly; `debug-invariants` builds re-walk it after every
+//! mutation (DESIGN.md §12).
 
 use abr_event::time::Duration;
 use abr_media::track::{MediaType, TrackId};
@@ -25,6 +33,8 @@ pub struct BufferedChunk {
 pub struct ChunkBuffer {
     media: MediaType,
     queue: VecDeque<BufferedChunk>,
+    /// Sum of the queued chunks' durations (the head chunk in full).
+    queued: Duration,
     /// How much of the head chunk has already been played.
     head_played: Duration,
     /// Index of the next chunk playback expects (for contiguity checks).
@@ -37,6 +47,7 @@ impl ChunkBuffer {
         ChunkBuffer {
             media,
             queue: VecDeque::new(),
+            queued: Duration::ZERO,
             head_played: Duration::ZERO,
             next_play_index: 0,
         }
@@ -62,12 +73,13 @@ impl ChunkBuffer {
         );
         assert!(!chunk.duration.is_zero(), "zero-duration chunk");
         self.queue.push_back(chunk);
+        self.queued += chunk.duration;
+        self.check_total();
     }
 
     /// Buffered seconds of content remaining to play.
     pub fn level(&self) -> Duration {
-        let total: Duration = self.queue.iter().map(|c| c.duration).sum();
-        total - self.head_played
+        self.queued - self.head_played
     }
 
     /// True when nothing is left to play.
@@ -100,10 +112,12 @@ impl ChunkBuffer {
             } else {
                 left -= head_left;
                 self.next_play_index = head.index + 1;
+                self.queued -= head.duration;
                 self.queue.pop_front();
                 self.head_played = Duration::ZERO;
             }
         }
+        self.check_total();
     }
 
     /// The buffered chunks in playback order (head first).
@@ -115,8 +129,25 @@ impl ChunkBuffer {
     /// (a seek). The next chunk pushed — and played — is `index`.
     pub fn flush_to(&mut self, index: usize) {
         self.queue.clear();
+        self.queued = Duration::ZERO;
         self.head_played = Duration::ZERO;
         self.next_play_index = index;
+        self.check_total();
+    }
+
+    /// Witness that the running total equals a walk of the queue, checked
+    /// after every mutation when built with `debug-invariants` (DESIGN.md
+    /// §12). The walk is over the few chunks a buffer target admits.
+    fn check_total(&self) {
+        #[cfg(feature = "debug-invariants")]
+        {
+            let walked: Duration = self.queue.iter().map(|c| c.duration).sum();
+            debug_assert_eq!(
+                self.queued, walked,
+                "running buffer total disagrees with the queued chunks"
+            );
+            debug_assert!(self.head_played <= walked, "head played past the queue");
+        }
     }
 }
 

@@ -135,12 +135,25 @@ impl Engine {
     /// dead link: the sentinel is then the only candidate). `run` is
     /// exactly `start(); while pump() {}; finish()`; an external driver
     /// (the fleet's [`crate::stepper::SessionStepper`]) interleaves the
-    /// same iterations with other sessions.
+    /// same iterations with other sessions, splitting each into
+    /// [`Engine::upcoming`] and [`Engine::dispatch`].
     pub(crate) fn pump(&mut self) -> bool {
-        if self.playback.state() == PlayState::Ended {
-            return false;
+        match self.upcoming() {
+            Some((t, ev)) => self.dispatch(t, ev),
+            None => false,
         }
-        let (t, ev) = self.next_event();
+    }
+
+    /// The event `pump` would dispatch next; `None` once playback ended.
+    /// Computing it changes no state.
+    pub(crate) fn upcoming(&self) -> Option<(Instant, SessionEvent)> {
+        (self.playback.state() != PlayState::Ended).then(|| self.next_event())
+    }
+
+    /// Dispatches `ev` at `t`, the pair [`Engine::upcoming`] returned
+    /// against the current state. Returns `false` when the deadline
+    /// sentinel won, which changes no state.
+    pub(crate) fn dispatch(&mut self, t: Instant, ev: SessionEvent) -> bool {
         let _dispatch = self.obs.span(ev.span_name());
         match ev {
             SessionEvent::Deadline => return false,
@@ -151,16 +164,6 @@ impl Engine {
             | SessionEvent::SeekDue => self.step(t),
         }
         true
-    }
-
-    /// The session-local timestamp of the next event `pump` would
-    /// dispatch; `None` when the session is over. Computing it changes no
-    /// state, so the following `pump` picks the same event.
-    pub(crate) fn next_wake(&self) -> Option<Instant> {
-        if self.playback.state() == PlayState::Ended {
-            return None;
-        }
-        Some(self.next_event().0)
     }
 
     /// Emits the session-start lifecycle, distributes the obs handle,

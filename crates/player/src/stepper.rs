@@ -5,8 +5,9 @@
 //! *many* sessions in one global timeline, so it needs the same engine with
 //! the clock turned inside out: "when is your next event?" / "dispatch it".
 //! [`SessionStepper`] is that inversion — a thin public shell over the
-//! engine's `pump` loop, exposing exactly the two operations the fleet
-//! driver schedules against its per-domain queue (DESIGN.md §14).
+//! engine's `pump` loop, split into its two halves, exposing exactly the
+//! two operations the fleet driver schedules against its per-domain queue
+//! (DESIGN.md §14).
 //!
 //! The equivalence contract: for any session configuration,
 //!
@@ -19,12 +20,20 @@
 //! ```
 //!
 //! produces a byte-identical [`SessionLog`] to `session.run()`. `run` is
-//! `start(); while pump() {}; finish()` over the same engine, and
-//! `next_wake` only reads: it computes the same earliest candidate that
-//! the following `dispatch_next` computes again and dispatches.
-//! `tests/fleet_determinism.rs` pins this down wholesale.
+//! `start(); while pump() {}; finish()` over the same engine, where each
+//! `pump` computes the earliest candidate event and dispatches it. The
+//! stepper computes that candidate exactly once per event too: at
+//! construction and after every dispatch that returns `true`, it caches
+//! the pair `pump` would compute next. `next_wake` reads the cache and
+//! `dispatch_next` dispatches the cached pair, so the two calls share one
+//! candidate pass. The cache cannot go stale between the calls: the
+//! candidates read only session-private state (link, playback, buffers,
+//! flights, seeks, refresh tick), and a fleet's shared hub is touched
+//! only from inside a dispatch. `tests/fleet_determinism.rs` pins the
+//! equivalence wholesale; `abr-bench`'s `profile_determinism` pins the
+//! single pass by counting `engine.arm_wakes` spans.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, SessionEvent};
 use crate::log::SessionLog;
 use abr_event::time::Instant;
 
@@ -36,6 +45,9 @@ use abr_event::time::Instant;
 /// handed out.
 pub struct SessionStepper {
     engine: Engine,
+    /// The event the next `dispatch_next` dispatches: what `pump` would
+    /// compute now. `None` once playback ended.
+    next: Option<(Instant, SessionEvent)>,
 }
 
 impl SessionStepper {
@@ -43,21 +55,30 @@ impl SessionStepper {
     /// [`crate::session::Session::into_stepper`].)
     pub(crate) fn new(mut engine: Engine) -> SessionStepper {
         engine.start();
-        SessionStepper { engine }
+        let next = engine.upcoming();
+        SessionStepper { engine, next }
     }
 
-    /// The session-local time of the next event to dispatch, computed
-    /// from current state. `None` means playback ended — call
+    /// The session-local time of the next event to dispatch, as of the
+    /// last dispatch. `None` means playback ended — call
     /// [`SessionStepper::finish`].
     pub fn next_wake(&self) -> Option<Instant> {
-        self.engine.next_wake()
+        self.next.map(|(t, _)| t)
     }
 
     /// Dispatches the next event (the one [`SessionStepper::next_wake`]
     /// reported). Returns `false` when the session is over — ended,
-    /// starved, or past its deadline.
+    /// starved, or past its deadline. A `false` dispatch changes no
+    /// state, so the cached event stays what `pump` would compute.
     pub fn dispatch_next(&mut self) -> bool {
-        self.engine.pump()
+        let Some((t, ev)) = self.next else {
+            return false;
+        };
+        let more = self.engine.dispatch(t, ev);
+        if more {
+            self.next = self.engine.upcoming();
+        }
+        more
     }
 
     /// The session-local clock: the timestamp of the most recently

@@ -8,6 +8,7 @@ use abr_player::config::{PlayerConfig, SyncMode};
 use abr_player::playback::{PlayState, PlaybackEngine};
 use abr_player::scheduler::{due_fetches, PipelineState};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn chunk(index: usize, millis: u64) -> BufferedChunk {
     BufferedChunk {
@@ -17,7 +18,69 @@ fn chunk(index: usize, millis: u64) -> BufferedChunk {
     }
 }
 
+/// The buffer as a plain queue: the chunk durations and how much of the
+/// head has played, drained by walking the queue.
+#[derive(Default)]
+struct WalkedBuffer {
+    queue: VecDeque<Duration>,
+    head_played: Duration,
+}
+
+impl WalkedBuffer {
+    fn drain(&mut self, mut left: Duration) {
+        while !left.is_zero() {
+            let head_left = self.queue[0] - self.head_played;
+            if left < head_left {
+                self.head_played += left;
+                left = Duration::ZERO;
+            } else {
+                left -= head_left;
+                self.queue.pop_front();
+                self.head_played = Duration::ZERO;
+            }
+        }
+    }
+}
+
 proptest! {
+    /// The running total behind `level()` equals the walk it replaced:
+    /// under random push / drain / flush sequences, after every step the
+    /// buffer's chunks match the plain queue's and the level equals
+    /// their summed durations minus what the head has played.
+    #[test]
+    fn level_equals_walk_of_the_queue(
+        ops in proptest::collection::vec((0u8..10, 1u64..8_000_000, 0u64..=100), 1..80),
+    ) {
+        let mut buf = ChunkBuffer::new(MediaType::Audio);
+        let mut walked = WalkedBuffer::default();
+        for (i, (op, micros, pct)) in ops.into_iter().enumerate() {
+            match op {
+                0..=4 => {
+                    buf.push(BufferedChunk {
+                        index: buf.next_download_index(),
+                        track: TrackId::audio(op as usize % 3),
+                        duration: Duration::from_micros(micros),
+                    });
+                    walked.queue.push_back(Duration::from_micros(micros));
+                }
+                5..=8 => {
+                    let dt = Duration::from_micros(buf.level().as_micros() * pct / 100);
+                    buf.drain(dt);
+                    walked.drain(dt);
+                }
+                _ => {
+                    buf.flush_to(buf.next_download_index() + (micros % 50) as usize);
+                    walked = WalkedBuffer::default();
+                }
+            }
+            let durations: Vec<Duration> = buf.chunks().map(|c| c.duration).collect();
+            prop_assert_eq!(&durations, &Vec::from(walked.queue.clone()), "chunks after step {}", i);
+            let sum: Duration = durations.iter().copied().sum();
+            prop_assert_eq!(buf.level(), sum - walked.head_played, "level after step {}", i);
+            prop_assert_eq!(buf.is_empty(), (sum - walked.head_played).is_zero());
+        }
+    }
+
     /// Pushing then draining in arbitrary interleavings conserves content:
     /// level == pushed − drained at every step, and drains never exceed
     /// the level.
